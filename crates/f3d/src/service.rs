@@ -18,13 +18,12 @@
 
 use crate::bc::Face;
 use crate::forces::{self, SurfaceForces};
-use crate::kernels::{self, WidthMap};
 use crate::multizone::MultiZoneSolver;
 use crate::solver::SolverConfig;
 use crate::validation::{FieldChecksum, ResidualHistory};
 use llp::{ObsReport, Policy, Timeline, Workers};
 use mesh::{Axis, Dims, MultiZoneGrid};
-use solver::{Solver, SolverInstance, SolverSpec};
+use solver::{Solver, SolverInstance, SolverSpec, WidthMap};
 
 /// Maximum zones a service case may request.
 pub const MAX_ZONES: usize = 4;
@@ -80,9 +79,9 @@ pub struct ServiceCase {
     /// selects zone shards). Results are bit-exact across every mode —
     /// pinned by tests — so this is purely a performance knob.
     pub zone_schedule: ZoneSchedule,
-    /// SLP lane width the kernel variants run at (one of
-    /// [`kernels::SUPPORTED_WIDTHS`]; 1 is the scalar reference).
-    /// Results are bit-exact at every width — see [`crate::kernels`]'s
+    /// SLP lane width the kernels run at (one of
+    /// [`solver::SUPPORTED_WIDTHS`]; 1 is the scalar case).
+    /// Results are bit-exact at every width — see [`solver::widths`]'s
     /// exactness policy — so this too is purely a performance knob.
     pub vector_width: usize,
 }
@@ -106,7 +105,7 @@ impl ServiceCase {
         if let ZoneSchedule::Zones(shards) = self.zone_schedule {
             check("zone_shards", shards, MAX_ZONES)?;
         }
-        kernels::validate_width(self.vector_width)?;
+        solver::validate_width(self.vector_width)?;
         match self.schedule.chunk_param() {
             None => Ok(()),
             Some(chunk) => check("chunk", chunk, MAX_CHUNK),
@@ -540,7 +539,7 @@ mod tests {
             assert!(err.contains("vector_width must be one of"), "{err}");
             assert!(run(&bad, &Workers::serial()).is_err());
         }
-        for w in crate::kernels::SUPPORTED_WIDTHS {
+        for w in solver::SUPPORTED_WIDTHS {
             assert!(ServiceCase {
                 vector_width: w,
                 ..ok

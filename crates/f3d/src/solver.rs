@@ -205,7 +205,7 @@ pub fn local_dt(zone: &ZoneSolver, p: Ijk) -> f64 {
             let q = zone.q.get(p);
             let sigma_sum: f64 = Axis::ALL
                 .iter()
-                .map(|&a| flux::spectral_radius(&q, zone.metrics.grad(p, a)))
+                .map(|&a| flux::spectral_radius::<1>(&[q], &[zone.metrics.grad(p, a)])[0])
                 .sum();
             cfl / sigma_sum.max(1e-300)
         }
@@ -299,52 +299,6 @@ pub mod flops {
         RHS_UPWIND + 2 * RHS_CENTRAL + IMPLICIT_UPWIND + 2 * IMPLICIT_CENTRAL;
 }
 
-/// Accumulate the upwind (J-direction) residual of one J-pencil into
-/// `scratch.rhs_line`: `δ⁻F⁺ + δ⁺F⁻` with first-order one-sided
-/// differences. Boundary points (i = 0, n−1) receive zero residual —
-/// they are owned by the boundary conditions.
-///
-/// Requires `scratch.q_line` and `scratch.n_line` to be gathered.
-pub fn rhs_upwind_pencil(scratch: &mut PencilScratch, n: usize) {
-    assert!(n >= 2, "pencil too short");
-    for i in 1..n - 1 {
-        let ni = scratch.n_line[i];
-        let fp_i = flux::steger_warming(&scratch.q_line[i], ni, true);
-        let fp_im = flux::steger_warming(&scratch.q_line[i - 1], ni, true);
-        let fm_ip = flux::steger_warming(&scratch.q_line[i + 1], ni, false);
-        let fm_i = flux::steger_warming(&scratch.q_line[i], ni, false);
-        for c in 0..NCONS {
-            scratch.rhs_line[i][c] += (fp_i[c] - fp_im[c]) + (fm_ip[c] - fm_i[c]);
-        }
-    }
-    scratch.rhs_line[0] = [0.0; NCONS];
-    scratch.rhs_line[n - 1] = [0.0; NCONS];
-}
-
-/// Accumulate the central residual of one K- or L-pencil into
-/// `scratch.rhs_line`: second-order central flux differences plus
-/// scalar second-difference artificial dissipation scaled by the local
-/// spectral radius. Boundary points receive zero residual.
-pub fn rhs_central_pencil(scratch: &mut PencilScratch, n: usize, eps2: f64) {
-    assert!(n >= 2, "pencil too short");
-    for i in 1..n - 1 {
-        let ni = scratch.n_line[i];
-        let f_ip = flux::directed_flux(&scratch.q_line[i + 1], ni);
-        let f_im = flux::directed_flux(&scratch.q_line[i - 1], ni);
-        let sigma = flux::spectral_radius(&scratch.q_line[i], ni);
-        for c in 0..NCONS {
-            let central = 0.5 * (f_ip[c] - f_im[c]);
-            let diss = eps2
-                * sigma
-                * (scratch.q_line[i + 1][c] - 2.0 * scratch.q_line[i][c]
-                    + scratch.q_line[i - 1][c]);
-            scratch.rhs_line[i][c] += central - diss;
-        }
-    }
-    scratch.rhs_line[0] = [0.0; NCONS];
-    scratch.rhs_line[n - 1] = [0.0; NCONS];
-}
-
 /// The thin-layer viscous flux at the midpoint between two adjacent
 /// points along the wall-normal (L) direction (Pulliam's `Ŝ`):
 ///
@@ -389,293 +343,70 @@ pub fn viscous_flux_midpoint(
     ]
 }
 
+/// Gather `W` consecutive pencil points from `i`: their states, the
+/// states of their lower and upper neighbours, and their directions.
+#[allow(clippy::type_complexity)]
+#[inline(always)]
+fn gather_lanes<const W: usize>(
+    scratch: &PencilScratch,
+    i: usize,
+) -> ([Vec5; W], [Vec5; W], [Vec5; W], [[f64; 3]; W]) {
+    let mut qi = [[0.0; NCONS]; W];
+    let mut qm = [[0.0; NCONS]; W];
+    let mut qp = [[0.0; NCONS]; W];
+    let mut ni = [[0.0; 3]; W];
+    for lane in 0..W {
+        qi[lane] = scratch.q_line[i + lane];
+        qm[lane] = scratch.q_line[i + lane - 1];
+        qp[lane] = scratch.q_line[i + lane + 1];
+        ni[lane] = scratch.n_line[i + lane];
+    }
+    (qi, qm, qp, ni)
+}
+
+/// Identity rows at both ends of a pencil: the boundary points are
+/// owned by the boundary conditions.
+fn pin_end_rows(scratch: &mut PencilScratch, n: usize) {
+    for i in [0, n - 1] {
+        scratch.lower[i] = [[0.0; NCONS]; NCONS];
+        scratch.diag[i] = blocktri::identity();
+        scratch.upper[i] = [[0.0; NCONS]; NCONS];
+    }
+}
+
 /// Solve the upwind (J) implicit factor along one pencil:
 /// `(I + Δt (δ⁻A⁺ + δ⁺A⁻)) Δ = rhs`, with identity rows pinning the
 /// boundary points. `scratch.rhs_line` holds the right-hand side on
 /// entry and the solution on return; the per-point time step comes
 /// from `scratch.dt_line` (filled by [`PencilScratch::gather`] — the
 /// global `dt` or the local-time-stepping value).
-pub fn implicit_upwind_pencil(scratch: &mut PencilScratch, n: usize) {
-    assert!(n >= 2, "pencil too short");
-    let rho = |q: &Vec5, nv: [f64; 3]| flux::spectral_radius(q, nv);
-    for i in 0..n {
-        if i == 0 || i == n - 1 {
-            scratch.lower[i] = [[0.0; NCONS]; NCONS];
-            scratch.diag[i] = blocktri::identity();
-            scratch.upper[i] = [[0.0; NCONS]; NCONS];
-            continue;
-        }
-        let ni = scratch.n_line[i];
-        // Approximate split Jacobians: A± = (A ± ρ I) / 2.
-        let a_i = flux::flux_jacobian(&scratch.q_line[i], ni);
-        let r_i = rho(&scratch.q_line[i], ni);
-        let a_im = flux::flux_jacobian(&scratch.q_line[i - 1], ni);
-        let r_im = rho(&scratch.q_line[i - 1], ni);
-        let a_ip = flux::flux_jacobian(&scratch.q_line[i + 1], ni);
-        let r_ip = rho(&scratch.q_line[i + 1], ni);
-
-        let ident = blocktri::identity();
-        let ap_i = blocktri::scale(&blocktri::add(&a_i, &blocktri::scale(&ident, r_i)), 0.5);
-        let am_i = blocktri::scale(&blocktri::sub(&a_i, &blocktri::scale(&ident, r_i)), 0.5);
-        let ap_im = blocktri::scale(&blocktri::add(&a_im, &blocktri::scale(&ident, r_im)), 0.5);
-        let am_ip = blocktri::scale(&blocktri::sub(&a_ip, &blocktri::scale(&ident, r_ip)), 0.5);
-
-        // δ⁻A⁺ Δ = A⁺_i Δ_i − A⁺_{i−1} Δ_{i−1};
-        // δ⁺A⁻ Δ = A⁻_{i+1} Δ_{i+1} − A⁻_i Δ_i.
-        let dt = scratch.dt_line[i];
-        scratch.lower[i] = blocktri::scale(&ap_im, -dt);
-        scratch.diag[i] = blocktri::add(&ident, &blocktri::scale(&blocktri::sub(&ap_i, &am_i), dt));
-        scratch.upper[i] = blocktri::scale(&am_ip, dt);
-    }
-    blocktri::solve_block_tridiagonal(
-        &scratch.lower[..n],
-        &scratch.diag[..n],
-        &scratch.upper[..n],
-        &mut scratch.rhs_line[..n],
-        &mut scratch.tri,
-    );
-}
-
-/// Solve a central (K or L) implicit factor along one pencil:
-/// `(I + Δt δ(A)/2 + Δt (ε σ + σ_v) ∇²) Δ = rhs`, identity rows at the
-/// ends. `mu_vis` enables the implicit viscous stabilization
-/// (`σ_v = 2 μ |∇ζ|² / ρ`) for the wall-normal factor; pass 0 for the
-/// K factor and for inviscid runs.
-pub fn implicit_central_pencil(scratch: &mut PencilScratch, n: usize, eps_imp: f64, mu_vis: f64) {
-    assert!(n >= 2, "pencil too short");
-    for i in 0..n {
-        if i == 0 || i == n - 1 {
-            scratch.lower[i] = [[0.0; NCONS]; NCONS];
-            scratch.diag[i] = blocktri::identity();
-            scratch.upper[i] = [[0.0; NCONS]; NCONS];
-            continue;
-        }
-        let ni = scratch.n_line[i];
-        let a_im = flux::flux_jacobian(&scratch.q_line[i - 1], ni);
-        let a_ip = flux::flux_jacobian(&scratch.q_line[i + 1], ni);
-        let sigma = flux::spectral_radius(&scratch.q_line[i], ni);
-        let ident = blocktri::identity();
-        let sigma_v = if mu_vis > 0.0 {
-            let phi = ni[0] * ni[0] + ni[1] * ni[1] + ni[2] * ni[2];
-            2.0 * mu_vis * phi / scratch.q_line[i][0]
-        } else {
-            0.0
-        };
-        let dt = scratch.dt_line[i];
-        let d = dt * (eps_imp * sigma + sigma_v);
-
-        scratch.lower[i] = blocktri::add(
-            &blocktri::scale(&a_im, -0.5 * dt),
-            &blocktri::scale(&ident, -d),
-        );
-        scratch.diag[i] = blocktri::add(&ident, &blocktri::scale(&ident, 2.0 * d));
-        scratch.upper[i] = blocktri::add(
-            &blocktri::scale(&a_ip, 0.5 * dt),
-            &blocktri::scale(&ident, -d),
-        );
-    }
-    blocktri::solve_block_tridiagonal(
-        &scratch.lower[..n],
-        &scratch.diag[..n],
-        &scratch.upper[..n],
-        &mut scratch.rhs_line[..n],
-        &mut scratch.tri,
-    );
-}
-
-/// [`rhs_upwind_pencil`] at the given lane width: interior points are
-/// processed `W` at a time through [`flux::steger_warming_lanes`], with
-/// a scalar remainder loop for trailing points — so any pencil length,
-/// divisible by `W` or not, produces bit-identical residuals.
-/// Unsupported widths (and width 1) run the scalar reference.
-pub fn rhs_upwind_pencil_w(scratch: &mut PencilScratch, n: usize, width: usize) {
-    match width {
-        2 => rhs_upwind_lanes::<2>(scratch, n),
-        4 => rhs_upwind_lanes::<4>(scratch, n),
-        8 => rhs_upwind_lanes::<8>(scratch, n),
-        _ => rhs_upwind_pencil(scratch, n),
-    }
-}
-
-fn rhs_upwind_lanes<const W: usize>(scratch: &mut PencilScratch, n: usize) {
-    assert!(n >= 2, "pencil too short");
-    let mut i = 1;
-    while i + W < n {
-        let mut qi = [[0.0; NCONS]; W];
-        let mut qm = [[0.0; NCONS]; W];
-        let mut qp = [[0.0; NCONS]; W];
-        let mut ni = [[0.0; 3]; W];
-        for lane in 0..W {
-            qi[lane] = scratch.q_line[i + lane];
-            qm[lane] = scratch.q_line[i + lane - 1];
-            qp[lane] = scratch.q_line[i + lane + 1];
-            ni[lane] = scratch.n_line[i + lane];
-        }
-        let fp_i = flux::steger_warming_lanes::<W>(&qi, &ni, true);
-        let fp_im = flux::steger_warming_lanes::<W>(&qm, &ni, true);
-        let fm_ip = flux::steger_warming_lanes::<W>(&qp, &ni, false);
-        let fm_i = flux::steger_warming_lanes::<W>(&qi, &ni, false);
-        for lane in 0..W {
-            for c in 0..NCONS {
-                scratch.rhs_line[i + lane][c] +=
-                    (fp_i[lane][c] - fp_im[lane][c]) + (fm_ip[lane][c] - fm_i[lane][c]);
-            }
-        }
-        i += W;
-    }
-    while i < n - 1 {
-        let ni = scratch.n_line[i];
-        let fp_i = flux::steger_warming(&scratch.q_line[i], ni, true);
-        let fp_im = flux::steger_warming(&scratch.q_line[i - 1], ni, true);
-        let fm_ip = flux::steger_warming(&scratch.q_line[i + 1], ni, false);
-        let fm_i = flux::steger_warming(&scratch.q_line[i], ni, false);
-        for c in 0..NCONS {
-            scratch.rhs_line[i][c] += (fp_i[c] - fp_im[c]) + (fm_ip[c] - fm_i[c]);
-        }
-        i += 1;
-    }
-    scratch.rhs_line[0] = [0.0; NCONS];
-    scratch.rhs_line[n - 1] = [0.0; NCONS];
-}
-
-/// [`rhs_central_pencil`] at the given lane width — same remainder and
-/// exactness contract as [`rhs_upwind_pencil_w`].
-pub fn rhs_central_pencil_w(scratch: &mut PencilScratch, n: usize, eps2: f64, width: usize) {
-    match width {
-        2 => rhs_central_lanes::<2>(scratch, n, eps2),
-        4 => rhs_central_lanes::<4>(scratch, n, eps2),
-        8 => rhs_central_lanes::<8>(scratch, n, eps2),
-        _ => rhs_central_pencil(scratch, n, eps2),
-    }
-}
-
-fn rhs_central_lanes<const W: usize>(scratch: &mut PencilScratch, n: usize, eps2: f64) {
-    assert!(n >= 2, "pencil too short");
-    let mut i = 1;
-    while i + W < n {
-        let mut qi = [[0.0; NCONS]; W];
-        let mut qm = [[0.0; NCONS]; W];
-        let mut qp = [[0.0; NCONS]; W];
-        let mut ni = [[0.0; 3]; W];
-        for lane in 0..W {
-            qi[lane] = scratch.q_line[i + lane];
-            qm[lane] = scratch.q_line[i + lane - 1];
-            qp[lane] = scratch.q_line[i + lane + 1];
-            ni[lane] = scratch.n_line[i + lane];
-        }
-        let f_ip = flux::directed_flux_lanes::<W>(&qp, &ni);
-        let f_im = flux::directed_flux_lanes::<W>(&qm, &ni);
-        let sigma = flux::spectral_radius_lanes::<W>(&qi, &ni);
-        for lane in 0..W {
-            for c in 0..NCONS {
-                let central = 0.5 * (f_ip[lane][c] - f_im[lane][c]);
-                let diss = eps2 * sigma[lane] * (qp[lane][c] - 2.0 * qi[lane][c] + qm[lane][c]);
-                scratch.rhs_line[i + lane][c] += central - diss;
-            }
-        }
-        i += W;
-    }
-    while i < n - 1 {
-        let ni = scratch.n_line[i];
-        let f_ip = flux::directed_flux(&scratch.q_line[i + 1], ni);
-        let f_im = flux::directed_flux(&scratch.q_line[i - 1], ni);
-        let sigma = flux::spectral_radius(&scratch.q_line[i], ni);
-        for c in 0..NCONS {
-            let central = 0.5 * (f_ip[c] - f_im[c]);
-            let diss = eps2
-                * sigma
-                * (scratch.q_line[i + 1][c] - 2.0 * scratch.q_line[i][c]
-                    + scratch.q_line[i - 1][c]);
-            scratch.rhs_line[i][c] += central - diss;
-        }
-        i += 1;
-    }
-    scratch.rhs_line[0] = [0.0; NCONS];
-    scratch.rhs_line[n - 1] = [0.0; NCONS];
-}
-
-/// [`implicit_upwind_pencil`] at the given lane width: the Jacobians
-/// and spectral radii of `W` interior points are evaluated through the
-/// lane kernels and the block products of the Thomas solve run
+///
+/// `width` is the SLP lane width: the Jacobians and spectral radii of
+/// `width` interior points are evaluated together through the flux lane
+/// kernels, and the block products of the Thomas solve run
 /// `width`-chunked ([`blocktri::solve_block_tridiagonal_w`]); the
-/// recurrence itself stays scalar. Bit-exact at every width, remainder
+/// recurrence itself stays scalar. Width 1 is the scalar kernel, and
+/// widths outside `{2, 4, 8}` run it. Bit-exact at every width, trailing
 /// points included.
 pub fn implicit_upwind_pencil_w(scratch: &mut PencilScratch, n: usize, width: usize) {
     match width {
         2 => implicit_upwind_lanes::<2>(scratch, n),
         4 => implicit_upwind_lanes::<4>(scratch, n),
         8 => implicit_upwind_lanes::<8>(scratch, n),
-        _ => implicit_upwind_pencil(scratch, n),
+        _ => implicit_upwind_lanes::<1>(scratch, n),
     }
 }
 
 fn implicit_upwind_lanes<const W: usize>(scratch: &mut PencilScratch, n: usize) {
     assert!(n >= 2, "pencil too short");
-    for i in [0, n - 1] {
-        scratch.lower[i] = [[0.0; NCONS]; NCONS];
-        scratch.diag[i] = blocktri::identity();
-        scratch.upper[i] = [[0.0; NCONS]; NCONS];
-    }
-    let ident = blocktri::identity();
+    pin_end_rows(scratch, n);
     let mut i = 1;
     while i + W < n {
-        let mut qi = [[0.0; NCONS]; W];
-        let mut qm = [[0.0; NCONS]; W];
-        let mut qp = [[0.0; NCONS]; W];
-        let mut ni = [[0.0; 3]; W];
-        for lane in 0..W {
-            qi[lane] = scratch.q_line[i + lane];
-            qm[lane] = scratch.q_line[i + lane - 1];
-            qp[lane] = scratch.q_line[i + lane + 1];
-            ni[lane] = scratch.n_line[i + lane];
-        }
-        let a_i = flux::flux_jacobian_lanes::<W>(&qi, &ni);
-        let r_i = flux::spectral_radius_lanes::<W>(&qi, &ni);
-        let a_im = flux::flux_jacobian_lanes::<W>(&qm, &ni);
-        let r_im = flux::spectral_radius_lanes::<W>(&qm, &ni);
-        let a_ip = flux::flux_jacobian_lanes::<W>(&qp, &ni);
-        let r_ip = flux::spectral_radius_lanes::<W>(&qp, &ni);
-        for lane in 0..W {
-            let ap_i = blocktri::scale(
-                &blocktri::add(&a_i[lane], &blocktri::scale(&ident, r_i[lane])),
-                0.5,
-            );
-            let am_i = blocktri::scale(
-                &blocktri::sub(&a_i[lane], &blocktri::scale(&ident, r_i[lane])),
-                0.5,
-            );
-            let ap_im = blocktri::scale(
-                &blocktri::add(&a_im[lane], &blocktri::scale(&ident, r_im[lane])),
-                0.5,
-            );
-            let am_ip = blocktri::scale(
-                &blocktri::sub(&a_ip[lane], &blocktri::scale(&ident, r_ip[lane])),
-                0.5,
-            );
-            let dt = scratch.dt_line[i + lane];
-            scratch.lower[i + lane] = blocktri::scale(&ap_im, -dt);
-            scratch.diag[i + lane] =
-                blocktri::add(&ident, &blocktri::scale(&blocktri::sub(&ap_i, &am_i), dt));
-            scratch.upper[i + lane] = blocktri::scale(&am_ip, dt);
-        }
+        implicit_upwind_rows::<W>(scratch, i);
         i += W;
     }
     while i < n - 1 {
-        let ni = scratch.n_line[i];
-        let a_i = flux::flux_jacobian(&scratch.q_line[i], ni);
-        let r_i = flux::spectral_radius(&scratch.q_line[i], ni);
-        let a_im = flux::flux_jacobian(&scratch.q_line[i - 1], ni);
-        let r_im = flux::spectral_radius(&scratch.q_line[i - 1], ni);
-        let a_ip = flux::flux_jacobian(&scratch.q_line[i + 1], ni);
-        let r_ip = flux::spectral_radius(&scratch.q_line[i + 1], ni);
-        let ap_i = blocktri::scale(&blocktri::add(&a_i, &blocktri::scale(&ident, r_i)), 0.5);
-        let am_i = blocktri::scale(&blocktri::sub(&a_i, &blocktri::scale(&ident, r_i)), 0.5);
-        let ap_im = blocktri::scale(&blocktri::add(&a_im, &blocktri::scale(&ident, r_im)), 0.5);
-        let am_ip = blocktri::scale(&blocktri::sub(&a_ip, &blocktri::scale(&ident, r_ip)), 0.5);
-        let dt = scratch.dt_line[i];
-        scratch.lower[i] = blocktri::scale(&ap_im, -dt);
-        scratch.diag[i] = blocktri::add(&ident, &blocktri::scale(&blocktri::sub(&ap_i, &am_i), dt));
-        scratch.upper[i] = blocktri::scale(&am_ip, dt);
+        implicit_upwind_rows::<1>(scratch, i);
         i += 1;
     }
     blocktri::solve_block_tridiagonal_w(
@@ -688,8 +419,51 @@ fn implicit_upwind_lanes<const W: usize>(scratch: &mut PencilScratch, n: usize) 
     );
 }
 
-/// [`implicit_central_pencil`] at the given lane width — same structure
-/// and exactness contract as [`implicit_upwind_pencil_w`].
+/// The upwind-factor rows of the `W` interior points from `i`.
+fn implicit_upwind_rows<const W: usize>(scratch: &mut PencilScratch, i: usize) {
+    let (qi, qm, qp, ni) = gather_lanes::<W>(scratch, i);
+    // Approximate split Jacobians: A± = (A ± ρ I) / 2.
+    let a_i = flux::flux_jacobian::<W>(&qi, &ni);
+    let r_i = flux::spectral_radius::<W>(&qi, &ni);
+    let a_im = flux::flux_jacobian::<W>(&qm, &ni);
+    let r_im = flux::spectral_radius::<W>(&qm, &ni);
+    let a_ip = flux::flux_jacobian::<W>(&qp, &ni);
+    let r_ip = flux::spectral_radius::<W>(&qp, &ni);
+    let ident = blocktri::identity();
+    for lane in 0..W {
+        let ap_i = blocktri::scale(
+            &blocktri::add(&a_i[lane], &blocktri::scale(&ident, r_i[lane])),
+            0.5,
+        );
+        let am_i = blocktri::scale(
+            &blocktri::sub(&a_i[lane], &blocktri::scale(&ident, r_i[lane])),
+            0.5,
+        );
+        let ap_im = blocktri::scale(
+            &blocktri::add(&a_im[lane], &blocktri::scale(&ident, r_im[lane])),
+            0.5,
+        );
+        let am_ip = blocktri::scale(
+            &blocktri::sub(&a_ip[lane], &blocktri::scale(&ident, r_ip[lane])),
+            0.5,
+        );
+        // δ⁻A⁺ Δ = A⁺_i Δ_i − A⁺_{i−1} Δ_{i−1};
+        // δ⁺A⁻ Δ = A⁻_{i+1} Δ_{i+1} − A⁻_i Δ_i.
+        let dt = scratch.dt_line[i + lane];
+        scratch.lower[i + lane] = blocktri::scale(&ap_im, -dt);
+        scratch.diag[i + lane] =
+            blocktri::add(&ident, &blocktri::scale(&blocktri::sub(&ap_i, &am_i), dt));
+        scratch.upper[i + lane] = blocktri::scale(&am_ip, dt);
+    }
+}
+
+/// Solve a central (K or L) implicit factor along one pencil:
+/// `(I + Δt δ(A)/2 + Δt (ε σ + σ_v) ∇²) Δ = rhs`, identity rows at the
+/// ends. `mu_vis` enables the implicit viscous stabilization
+/// (`σ_v = 2 μ |∇ζ|² / ρ`) for the wall-normal factor; pass 0 for the
+/// K factor and for inviscid runs. `width` is the SLP lane width, with
+/// the same structure and exactness contract as
+/// [`implicit_upwind_pencil_w`].
 pub fn implicit_central_pencil_w(
     scratch: &mut PencilScratch,
     n: usize,
@@ -701,7 +475,7 @@ pub fn implicit_central_pencil_w(
         2 => implicit_central_lanes::<2>(scratch, n, eps_imp, mu_vis),
         4 => implicit_central_lanes::<4>(scratch, n, eps_imp, mu_vis),
         8 => implicit_central_lanes::<8>(scratch, n, eps_imp, mu_vis),
-        _ => implicit_central_pencil(scratch, n, eps_imp, mu_vis),
+        _ => implicit_central_lanes::<1>(scratch, n, eps_imp, mu_vis),
     }
 }
 
@@ -712,71 +486,14 @@ fn implicit_central_lanes<const W: usize>(
     mu_vis: f64,
 ) {
     assert!(n >= 2, "pencil too short");
-    for i in [0, n - 1] {
-        scratch.lower[i] = [[0.0; NCONS]; NCONS];
-        scratch.diag[i] = blocktri::identity();
-        scratch.upper[i] = [[0.0; NCONS]; NCONS];
-    }
-    let ident = blocktri::identity();
+    pin_end_rows(scratch, n);
     let mut i = 1;
     while i + W < n {
-        let mut qi = [[0.0; NCONS]; W];
-        let mut qm = [[0.0; NCONS]; W];
-        let mut qp = [[0.0; NCONS]; W];
-        let mut ni = [[0.0; 3]; W];
-        for lane in 0..W {
-            qi[lane] = scratch.q_line[i + lane];
-            qm[lane] = scratch.q_line[i + lane - 1];
-            qp[lane] = scratch.q_line[i + lane + 1];
-            ni[lane] = scratch.n_line[i + lane];
-        }
-        let a_im = flux::flux_jacobian_lanes::<W>(&qm, &ni);
-        let a_ip = flux::flux_jacobian_lanes::<W>(&qp, &ni);
-        let sigma = flux::spectral_radius_lanes::<W>(&qi, &ni);
-        for lane in 0..W {
-            let nl = ni[lane];
-            let sigma_v = if mu_vis > 0.0 {
-                let phi = nl[0] * nl[0] + nl[1] * nl[1] + nl[2] * nl[2];
-                2.0 * mu_vis * phi / qi[lane][0]
-            } else {
-                0.0
-            };
-            let dt = scratch.dt_line[i + lane];
-            let d = dt * (eps_imp * sigma[lane] + sigma_v);
-            scratch.lower[i + lane] = blocktri::add(
-                &blocktri::scale(&a_im[lane], -0.5 * dt),
-                &blocktri::scale(&ident, -d),
-            );
-            scratch.diag[i + lane] = blocktri::add(&ident, &blocktri::scale(&ident, 2.0 * d));
-            scratch.upper[i + lane] = blocktri::add(
-                &blocktri::scale(&a_ip[lane], 0.5 * dt),
-                &blocktri::scale(&ident, -d),
-            );
-        }
+        implicit_central_rows::<W>(scratch, i, eps_imp, mu_vis);
         i += W;
     }
     while i < n - 1 {
-        let ni = scratch.n_line[i];
-        let a_im = flux::flux_jacobian(&scratch.q_line[i - 1], ni);
-        let a_ip = flux::flux_jacobian(&scratch.q_line[i + 1], ni);
-        let sigma = flux::spectral_radius(&scratch.q_line[i], ni);
-        let sigma_v = if mu_vis > 0.0 {
-            let phi = ni[0] * ni[0] + ni[1] * ni[1] + ni[2] * ni[2];
-            2.0 * mu_vis * phi / scratch.q_line[i][0]
-        } else {
-            0.0
-        };
-        let dt = scratch.dt_line[i];
-        let d = dt * (eps_imp * sigma + sigma_v);
-        scratch.lower[i] = blocktri::add(
-            &blocktri::scale(&a_im, -0.5 * dt),
-            &blocktri::scale(&ident, -d),
-        );
-        scratch.diag[i] = blocktri::add(&ident, &blocktri::scale(&ident, 2.0 * d));
-        scratch.upper[i] = blocktri::add(
-            &blocktri::scale(&a_ip, 0.5 * dt),
-            &blocktri::scale(&ident, -d),
-        );
+        implicit_central_rows::<1>(scratch, i, eps_imp, mu_vis);
         i += 1;
     }
     blocktri::solve_block_tridiagonal_w(
@@ -789,78 +506,47 @@ fn implicit_central_lanes<const W: usize>(
     );
 }
 
-/// The full explicit residual at one *interior* point, in a fixed
-/// direction order (J upwind, then K central, then L central) so that
-/// every implementation computes bit-identical values regardless of its
-/// loop structure.
-///
-/// # Panics
-/// Debug-panics if `p` lies on a zone face (faces belong to the BCs).
-#[must_use]
-pub fn residual_point(zone: &ZoneSolver, p: Ijk, eps2: f64) -> Vec5 {
-    debug_assert!(!zone.dims().on_boundary(p), "residual at face point {p}");
-    let mut r = [0.0; NCONS];
-
-    // J: first-order Steger–Warming upwind differences.
-    let nj = zone.metrics.grad(p, Axis::J);
-    let q_i = zone.q.get(p);
-    let q_jm = zone.q.get(p.offset(Axis::J, -1));
-    let q_jp = zone.q.get(p.offset(Axis::J, 1));
-    let fp_i = flux::steger_warming(&q_i, nj, true);
-    let fp_im = flux::steger_warming(&q_jm, nj, true);
-    let fm_ip = flux::steger_warming(&q_jp, nj, false);
-    let fm_i = flux::steger_warming(&q_i, nj, false);
-    for c in 0..NCONS {
-        r[c] += (fp_i[c] - fp_im[c]) + (fm_ip[c] - fm_i[c]);
-    }
-
-    // K and L: central differences with scalar dissipation.
-    for axis in [Axis::K, Axis::L] {
-        let n = zone.metrics.grad(p, axis);
-        let q_m = zone.q.get(p.offset(axis, -1));
-        let q_p = zone.q.get(p.offset(axis, 1));
-        let f_p = flux::directed_flux(&q_p, n);
-        let f_m = flux::directed_flux(&q_m, n);
-        let sigma = flux::spectral_radius(&q_i, n);
-        for c in 0..NCONS {
-            let central = 0.5 * (f_p[c] - f_m[c]);
-            let diss = eps2 * sigma * (q_p[c] - 2.0 * q_i[c] + q_m[c]);
-            r[c] += central - diss;
-        }
-    }
-
-    // Thin-layer viscous terms along L (F3D's thin-layer NS mode):
-    // R -= S_{l+1/2} - S_{l-1/2}.
-    if zone.config.is_viscous() {
-        let mu = zone.config.viscosity;
-        let pr = zone.config.prandtl;
-        let q_m = zone.q.get(p.offset(Axis::L, -1));
-        let q_p = zone.q.get(p.offset(Axis::L, 1));
-        let n_i = zone.metrics.grad(p, Axis::L);
-        let n_m = zone.metrics.grad(p.offset(Axis::L, -1), Axis::L);
-        let n_p = zone.metrics.grad(p.offset(Axis::L, 1), Axis::L);
-        let mid = |a: [f64; 3], b: [f64; 3]| {
-            [
-                0.5 * (a[0] + b[0]),
-                0.5 * (a[1] + b[1]),
-                0.5 * (a[2] + b[2]),
-            ]
+/// The central-factor rows of the `W` interior points from `i`.
+fn implicit_central_rows<const W: usize>(
+    scratch: &mut PencilScratch,
+    i: usize,
+    eps_imp: f64,
+    mu_vis: f64,
+) {
+    let (qi, qm, qp, ni) = gather_lanes::<W>(scratch, i);
+    let a_im = flux::flux_jacobian::<W>(&qm, &ni);
+    let a_ip = flux::flux_jacobian::<W>(&qp, &ni);
+    let sigma = flux::spectral_radius::<W>(&qi, &ni);
+    let ident = blocktri::identity();
+    for lane in 0..W {
+        let nl = ni[lane];
+        let sigma_v = if mu_vis > 0.0 {
+            let phi = nl[0] * nl[0] + nl[1] * nl[1] + nl[2] * nl[2];
+            2.0 * mu_vis * phi / qi[lane][0]
+        } else {
+            0.0
         };
-        let s_hi = viscous_flux_midpoint(&q_i, &q_p, mid(n_i, n_p), mu, pr);
-        let s_lo = viscous_flux_midpoint(&q_m, &q_i, mid(n_m, n_i), mu, pr);
-        for c in 0..NCONS {
-            r[c] -= s_hi[c] - s_lo[c];
-        }
+        let dt = scratch.dt_line[i + lane];
+        let d = dt * (eps_imp * sigma[lane] + sigma_v);
+        scratch.lower[i + lane] = blocktri::add(
+            &blocktri::scale(&a_im[lane], -0.5 * dt),
+            &blocktri::scale(&ident, -d),
+        );
+        scratch.diag[i + lane] = blocktri::add(&ident, &blocktri::scale(&ident, 2.0 * d));
+        scratch.upper[i + lane] = blocktri::add(
+            &blocktri::scale(&a_ip[lane], 0.5 * dt),
+            &blocktri::scale(&ident, -d),
+        );
     }
-    r
 }
 
-/// [`residual_point`] at `W` consecutive interior points along J
-/// (`first.j + lane`), with the flux evaluations routed through the
-/// lane kernels. Direction and accumulation order per lane are exactly
-/// the scalar function's (J upwind, K central, L central, then the
-/// viscous terms), so each lane's residual is bit-identical to
-/// `residual_point` at that point.
+/// The full explicit residual at `W` consecutive *interior* points
+/// along J (`first.j + lane`), with the flux evaluations routed through
+/// the lane kernels. Every lane accumulates its directions in one fixed
+/// order (J upwind, K central, L central, then the viscous terms), so
+/// every implementation computes bit-identical values regardless of its
+/// loop structure, and each lane is bit-identical to `W = 1` at that
+/// point.
 ///
 /// # Panics
 /// Debug-panics if any lane's point lies on a zone face.
@@ -886,10 +572,10 @@ pub fn residual_points_lanes<const W: usize>(
         q_m[lane] = zone.q.get(p.offset(Axis::J, -1));
         q_p[lane] = zone.q.get(p.offset(Axis::J, 1));
     }
-    let fp_i = flux::steger_warming_lanes::<W>(&q_i, &nd, true);
-    let fp_im = flux::steger_warming_lanes::<W>(&q_m, &nd, true);
-    let fm_ip = flux::steger_warming_lanes::<W>(&q_p, &nd, false);
-    let fm_i = flux::steger_warming_lanes::<W>(&q_i, &nd, false);
+    let fp_i = flux::steger_warming::<W>(&q_i, &nd, true);
+    let fp_im = flux::steger_warming::<W>(&q_m, &nd, true);
+    let fm_ip = flux::steger_warming::<W>(&q_p, &nd, false);
+    let fm_i = flux::steger_warming::<W>(&q_i, &nd, false);
     for lane in 0..W {
         for c in 0..NCONS {
             r[lane][c] += (fp_i[lane][c] - fp_im[lane][c]) + (fm_ip[lane][c] - fm_i[lane][c]);
@@ -904,9 +590,9 @@ pub fn residual_points_lanes<const W: usize>(
             q_m[lane] = zone.q.get(p.offset(axis, -1));
             q_p[lane] = zone.q.get(p.offset(axis, 1));
         }
-        let f_p = flux::directed_flux_lanes::<W>(&q_p, &nd);
-        let f_m = flux::directed_flux_lanes::<W>(&q_m, &nd);
-        let sigma = flux::spectral_radius_lanes::<W>(&q_i, &nd);
+        let f_p = flux::directed_flux::<W>(&q_p, &nd);
+        let f_m = flux::directed_flux::<W>(&q_m, &nd);
+        let sigma = flux::spectral_radius::<W>(&q_i, &nd);
         for lane in 0..W {
             for c in 0..NCONS {
                 let central = 0.5 * (f_p[lane][c] - f_m[lane][c]);
@@ -948,11 +634,11 @@ pub fn residual_points_lanes<const W: usize>(
 }
 
 /// Fill `row[j] = −Δt(p)·R(p)` for the interior points `j ∈ 1..jmax−1`
-/// of one `(k, l)` row, dispatching [`residual_points_lanes`] at the
-/// given width with a scalar remainder — the `rhs`-kernel body both
-/// steppers share. Boundary entries of `row` are left untouched;
-/// results are bit-identical to the scalar per-point path at every
-/// width.
+/// of one `(k, l)` row through [`residual_points_lanes`] at the given
+/// width — the `rhs`-kernel body both steppers share. Width 1 is the
+/// scalar kernel, and widths outside `{2, 4, 8}` run it. Boundary
+/// entries of `row` are left untouched; results are bit-identical at
+/// every width.
 ///
 /// # Panics
 /// Panics if `row` is shorter than the J extent.
@@ -964,22 +650,12 @@ pub fn residual_rhs_row_w(
     width: usize,
     row: &mut [Vec5],
 ) {
-    let jmax = zone.dims().j;
-    assert!(row.len() >= jmax, "row buffer too small");
+    assert!(row.len() >= zone.dims().j, "row buffer too small");
     match width {
         2 => residual_rhs_row_lanes::<2>(zone, k, l, eps2, row),
         4 => residual_rhs_row_lanes::<4>(zone, k, l, eps2, row),
         8 => residual_rhs_row_lanes::<8>(zone, k, l, eps2, row),
-        _ => {
-            for (j, out) in row.iter_mut().enumerate().take(jmax - 1).skip(1) {
-                let p = Ijk::new(j, k, l);
-                let r = residual_point(zone, p, eps2);
-                let dt_p = local_dt(zone, p);
-                for c in 0..NCONS {
-                    out[c] = -dt_p * r[c];
-                }
-            }
-        }
+        _ => residual_rhs_row_lanes::<1>(zone, k, l, eps2, row),
     }
 }
 
@@ -993,24 +669,24 @@ fn residual_rhs_row_lanes<const W: usize>(
     let jmax = zone.dims().j;
     let mut j = 1;
     while j + W < jmax {
-        let r = residual_points_lanes::<W>(zone, Ijk::new(j, k, l), eps2);
-        for lane in 0..W {
-            let p = Ijk::new(j + lane, k, l);
-            let dt_p = local_dt(zone, p);
-            for c in 0..NCONS {
-                row[j + lane][c] = -dt_p * r[lane][c];
-            }
-        }
+        residual_rhs_points::<W>(zone, Ijk::new(j, k, l), eps2, row);
         j += W;
     }
     while j < jmax - 1 {
-        let p = Ijk::new(j, k, l);
-        let r = residual_point(zone, p, eps2);
-        let dt_p = local_dt(zone, p);
-        for c in 0..NCONS {
-            row[j][c] = -dt_p * r[c];
-        }
+        residual_rhs_points::<1>(zone, Ijk::new(j, k, l), eps2, row);
         j += 1;
+    }
+}
+
+/// `row[j] = −Δt(p)·R(p)` for the `W` points from `first` along J.
+fn residual_rhs_points<const W: usize>(zone: &ZoneSolver, first: Ijk, eps2: f64, row: &mut [Vec5]) {
+    let r = residual_points_lanes::<W>(zone, first, eps2);
+    let outs = &mut row[first.j..first.j + W];
+    for (lane, (out, r)) in outs.iter_mut().zip(&r).enumerate() {
+        let dt_p = local_dt(zone, Ijk::new(first.j + lane, first.k, first.l));
+        for (o, v) in out.iter_mut().zip(r) {
+            *o = -dt_p * v;
+        }
     }
 }
 
@@ -1037,30 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn freestream_has_zero_residual() {
-        let zone = cartesian_zone(SolverConfig::supersonic(), Dims::new(8, 6, 5));
-        let n = 8;
-        let mut s = PencilScratch::new(n);
-        s.gather(&zone, Axis::J, Ijk::new(0, 2, 2));
-        s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
-        rhs_upwind_pencil(&mut s, n);
-        for r in &s.rhs_line[..n] {
-            for &v in r {
-                assert!(v.abs() < 1e-13, "upwind residual {v}");
-            }
-        }
-        let mut s = PencilScratch::new(6);
-        s.gather(&zone, Axis::K, Ijk::new(3, 0, 2));
-        s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
-        rhs_central_pencil(&mut s, 6, 0.1);
-        for r in &s.rhs_line[..6] {
-            for &v in r {
-                assert!(v.abs() < 1e-13, "central residual {v}");
-            }
-        }
-    }
-
-    #[test]
     fn implicit_factor_with_zero_rhs_is_zero() {
         let zone = cartesian_zone(SolverConfig::subsonic(), Dims::new(10, 4, 4));
         let n = 10;
@@ -1068,7 +720,7 @@ mod tests {
         s.gather(&zone, Axis::J, Ijk::new(0, 1, 1));
         s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
         s.dt_line[..n].fill(0.1);
-        implicit_upwind_pencil(&mut s, n);
+        implicit_upwind_pencil_w(&mut s, n, 1);
         for r in &s.rhs_line[..n] {
             for &v in r {
                 assert_eq!(v, 0.0);
@@ -1096,7 +748,7 @@ mod tests {
             }
         }
         s.dt_line[..n].fill(0.5);
-        implicit_upwind_pencil(&mut s, n);
+        implicit_upwind_pencil_w(&mut s, n, 1);
         let mut max_out = 0.0f64;
         for r in &s.rhs_line[..n] {
             for &v in r {
@@ -1116,7 +768,7 @@ mod tests {
         let rhs_in: Vec<Vec5> = (0..n).map(|i| [i as f64 * 0.01; NCONS]).collect();
         s.rhs_line[..n].copy_from_slice(&rhs_in);
         s.dt_line[..n].fill(0.0);
-        implicit_central_pencil(&mut s, n, 0.3, 0.0);
+        implicit_central_pencil_w(&mut s, n, 0.3, 0.0, 1);
         for (i, r) in s.rhs_line[..n].iter().enumerate() {
             for (c, &v) in r.iter().enumerate() {
                 assert!(
@@ -1138,7 +790,7 @@ mod tests {
         }
         // Boundary RHS rows are preserved untouched by the identity rows.
         s.dt_line[..n].fill(0.2);
-        implicit_upwind_pencil(&mut s, n);
+        implicit_upwind_pencil_w(&mut s, n, 1);
         assert_eq!(s.rhs_line[0], [1.0; NCONS]);
         assert_eq!(s.rhs_line[n - 1], [1.0; NCONS]);
     }
@@ -1188,58 +840,10 @@ mod tests {
             if zone.dims().on_boundary(p) {
                 continue;
             }
-            let r = residual_point(&zone, p, 0.1);
+            let r = residual_points_lanes::<1>(&zone, p, 0.1)[0];
             for &v in &r {
                 assert!(v.abs() < 1e-13, "residual {v} at {p}");
             }
-        }
-    }
-
-    #[test]
-    fn residual_point_matches_pencil_kernels() {
-        // residual_point must reproduce the sum of the three pencil
-        // kernels exactly for a perturbed field.
-        let mut zone = cartesian_zone(SolverConfig::subsonic(), Dims::new(7, 6, 5));
-        for p in zone.dims().iter_jkl() {
-            let mut q = zone.q.get(p);
-            q[0] *= 1.0 + 0.01 * ((p.j * 3 + p.k * 5 + p.l * 7) as f64).sin();
-            q[4] *= 1.0 + 0.005 * ((p.j + 2 * p.k + 3 * p.l) as f64).cos();
-            zone.q.set(p, q);
-        }
-        let eps2 = 0.08;
-        let probe = Ijk::new(3, 2, 2);
-
-        let mut total = [0.0f64; NCONS];
-        let mut s = PencilScratch::new(7);
-        s.gather(&zone, Axis::J, probe);
-        s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
-        rhs_upwind_pencil(&mut s, 7);
-        for (t, v) in total.iter_mut().zip(s.rhs_line[probe.j]) {
-            *t += v;
-        }
-        let mut s = PencilScratch::new(6);
-        s.gather(&zone, Axis::K, probe);
-        s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
-        rhs_central_pencil(&mut s, 6, eps2);
-        for (t, v) in total.iter_mut().zip(s.rhs_line[probe.k]) {
-            *t += v;
-        }
-        let mut s = PencilScratch::new(5);
-        s.gather(&zone, Axis::L, probe);
-        s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
-        rhs_central_pencil(&mut s, 5, eps2);
-        for (t, v) in total.iter_mut().zip(s.rhs_line[probe.l]) {
-            *t += v;
-        }
-
-        let direct = residual_point(&zone, probe, eps2);
-        for c in 0..NCONS {
-            assert!(
-                (direct[c] - total[c]).abs() < 1e-14,
-                "comp {c}: {} vs {}",
-                direct[c],
-                total[c]
-            );
         }
     }
 
@@ -1312,96 +916,15 @@ mod tests {
         // viscous term must produce a positive R[1] (since update is
         // -dt*R, u decreases).
         let peak = Ijk::new(2, 2, (d.l - 1) / 2);
-        let r_visc = residual_point(&zone, peak, 0.0);
+        let r_visc = residual_points_lanes::<1>(&zone, peak, 0.0)[0];
         let mut inviscid_zone = zone.clone();
         inviscid_zone.config.viscosity = 0.0;
-        let r_inv = residual_point(&inviscid_zone, peak, 0.0);
+        let r_inv = residual_points_lanes::<1>(&inviscid_zone, peak, 0.0)[0];
         let visc_contrib = r_visc[1] - r_inv[1];
         assert!(
             visc_contrib > 0.0,
             "viscous term must damp the peak: {visc_contrib}"
         );
-    }
-
-    fn perturbed_zone(config: SolverConfig, d: Dims) -> ZoneSolver {
-        let mut zone = cartesian_zone(config, d);
-        for p in d.iter_jkl() {
-            let mut q = zone.q.get(p);
-            q[0] *= 1.0 + 0.01 * ((p.j * 3 + p.k * 5 + p.l * 7) as f64).sin();
-            q[4] *= 1.0 + 0.005 * ((p.j + 2 * p.k + 3 * p.l) as f64).cos();
-            zone.q.set(p, q);
-        }
-        zone
-    }
-
-    #[test]
-    fn wide_pencil_kernels_are_bit_exact() {
-        // Pencil lengths chosen so every width leaves a different
-        // remainder (interior counts 5, 6, 7 against W = 2, 4, 8).
-        for d in [Dims::new(7, 6, 5), Dims::new(8, 7, 6), Dims::new(9, 6, 5)] {
-            let zone = perturbed_zone(SolverConfig::subsonic(), d);
-            let n = d.j;
-            let base = Ijk::new(0, 1, 1);
-            let mut reference = PencilScratch::new(n);
-            reference.gather(&zone, Axis::J, base);
-            let mut wide = reference.clone();
-            let run = |s: &mut PencilScratch, kernel: usize, width: usize| {
-                s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
-                if kernel >= 2 {
-                    for (i, r) in s.rhs_line.iter_mut().enumerate() {
-                        *r = [0.01 * (i as f64 + 1.0); NCONS];
-                    }
-                }
-                match kernel {
-                    0 => rhs_upwind_pencil_w(s, n, width),
-                    1 => rhs_central_pencil_w(s, n, 0.08, width),
-                    2 => implicit_upwind_pencil_w(s, n, width),
-                    _ => implicit_central_pencil_w(s, n, 0.3, 0.002, width),
-                }
-            };
-            for kernel in 0..4 {
-                run(&mut reference, kernel, 1);
-                for width in [2, 4, 8] {
-                    run(&mut wide, kernel, width);
-                    for i in 0..n {
-                        assert_eq!(
-                            wide.rhs_line[i].map(f64::to_bits),
-                            reference.rhs_line[i].map(f64::to_bits),
-                            "kernel {kernel} width {width} point {i} dims {d:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn residual_row_is_bit_exact_across_widths() {
-        // Viscous + local time stepping exercises every branch of the
-        // lane residual; jmax = 9 leaves remainders at widths 2 and 4
-        // and falls back entirely to scalar at width 8.
-        let config = SolverConfig::viscous(2.0, 1.0e4).with_local_time_stepping(2.0);
-        let d = Dims::new(9, 6, 6);
-        let zone = perturbed_zone(config, d);
-        let jmax = d.j;
-        let mut reference = vec![[0.0; NCONS]; jmax];
-        let mut wide = vec![[0.0; NCONS]; jmax];
-        for k in 1..d.k - 1 {
-            for l in 1..d.l - 1 {
-                residual_rhs_row_w(&zone, k, l, 0.08, 1, &mut reference);
-                for width in [2, 4, 8] {
-                    wide.iter_mut().for_each(|r| *r = [f64::NAN; NCONS]);
-                    residual_rhs_row_w(&zone, k, l, 0.08, width, &mut wide);
-                    for j in 1..jmax - 1 {
-                        assert_eq!(
-                            wide[j].map(f64::to_bits),
-                            reference[j].map(f64::to_bits),
-                            "width {width} at j={j} k={k} l={l}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //! kernels in [`crate::solver`].
 
 use crate::bc::{self, ZoneBcs};
-use crate::kernels::WidthMap;
 use crate::solver::{
     implicit_central_pencil_w, implicit_upwind_pencil_w, pencil_point, residual_rhs_row_w,
     PencilScratch, SolverConfig, ZoneSolver,
 };
 use mesh::{Arrangement, Axis, Ijk, Layout, Metrics, StateField, NCONS};
+use solver::WidthMap;
 
 /// The vector-style stepper: owns the plane-sized scratch (like the
 /// Fortran original's static work arrays).

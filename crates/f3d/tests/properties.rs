@@ -24,6 +24,15 @@ fn direction() -> impl Strategy<Value = [f64; 3]> {
         .prop_filter("nonzero", |n| n[0].abs() + n[1].abs() + n[2].abs() > 0.1)
 }
 
+// The flux kernels at W = 1, the scalar case the identities are stated in.
+fn directed_flux(q: &Vec5, n: [f64; 3]) -> Vec5 {
+    flux::directed_flux::<1>(&[*q], &[n])[0]
+}
+
+fn steger_warming(q: &Vec5, n: [f64; 3], positive: bool) -> Vec5 {
+    flux::steger_warming::<1>(&[*q], &[n], positive)[0]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -42,9 +51,9 @@ proptest! {
     #[test]
     fn sw_split_sums(prim in primitive(), n in direction()) {
         let q = prim.to_conserved();
-        let full = flux::directed_flux(&q, n);
-        let plus = flux::steger_warming(&q, n, true);
-        let minus = flux::steger_warming(&q, n, false);
+        let full = directed_flux(&q, n);
+        let plus = steger_warming(&q, n, true);
+        let minus = steger_warming(&q, n, false);
         for c in 0..NCONS {
             let err = (plus[c] + minus[c] - full[c]).abs();
             prop_assert!(err < 1e-10 * (1.0 + full[c].abs()), "comp {c}: {err}");
@@ -55,9 +64,9 @@ proptest! {
     #[test]
     fn flux_homogeneity(prim in primitive(), n in direction()) {
         let q = prim.to_conserved();
-        let a = flux::flux_jacobian(&q, n);
-        let aq = flux::matvec(&a, &q);
-        let f = flux::directed_flux(&q, n);
+        let a = flux::flux_jacobian::<1>(&[q], &[n])[0];
+        let aq = blocktri::matvec_w(&a, &q, 1);
+        let f = directed_flux(&q, n);
         for c in 0..NCONS {
             prop_assert!((aq[c] - f[c]).abs() < 1e-9 * (1.0 + f[c].abs()));
         }
@@ -71,7 +80,7 @@ proptest! {
         let (l1, l4, l5) = flux::eigenvalues(&q, n);
         prop_assert!(l5 < l1);
         prop_assert!(l1 < l4);
-        let rho = flux::spectral_radius(&q, n);
+        let rho = flux::spectral_radius::<1>(&[q], &[n])[0];
         for l in [l1, l4, l5] {
             prop_assert!(l.abs() <= rho + 1e-12);
         }
@@ -83,13 +92,13 @@ proptest! {
     fn direction_antisymmetry(prim in primitive(), n in direction()) {
         let q = prim.to_conserved();
         let neg = [-n[0], -n[1], -n[2]];
-        let f = flux::directed_flux(&q, n);
-        let f_neg = flux::directed_flux(&q, neg);
+        let f = directed_flux(&q, n);
+        let f_neg = directed_flux(&q, neg);
         for c in 0..NCONS {
             prop_assert!((f[c] + f_neg[c]).abs() < 1e-11 * (1.0 + f[c].abs()));
         }
-        let plus = flux::steger_warming(&q, n, true);
-        let minus_neg = flux::steger_warming(&q, neg, false);
+        let plus = steger_warming(&q, n, true);
+        let minus_neg = steger_warming(&q, neg, false);
         for c in 0..NCONS {
             prop_assert!((plus[c] + minus_neg[c]).abs() < 1e-10 * (1.0 + plus[c].abs()),
                 "F+(n) must equal -F-(-n), comp {c}");
@@ -127,7 +136,7 @@ proptest! {
         x in prop::array::uniform5(-10.0f64..10.0),
     ) {
         let a = dom_block(&vals, 6.0);
-        let b = blocktri::matvec(&a, &x);
+        let b = blocktri::matvec_w(&a, &x, 1);
         let lu = blocktri::Lu::factor(&a).expect("dominant => nonsingular");
         let got = lu.solve(&b);
         for c in 0..NCONS {
@@ -149,13 +158,13 @@ proptest! {
         let x: Vec<Vec5> = (0..n).map(|i| xs[i % xs.len()]).collect();
         let mut rhs: Vec<Vec5> = Vec::with_capacity(n);
         for i in 0..n {
-            let mut r = blocktri::matvec(&diag[i], &x[i]);
+            let mut r = blocktri::matvec_w(&diag[i], &x[i], 1);
             if i > 0 {
-                let lx = blocktri::matvec(&lower[i], &x[i - 1]);
+                let lx = blocktri::matvec_w(&lower[i], &x[i - 1], 1);
                 for (rv, lv) in r.iter_mut().zip(lx) { *rv += lv; }
             }
             if i + 1 < n {
-                let ux = blocktri::matvec(&upper[i], &x[i + 1]);
+                let ux = blocktri::matvec_w(&upper[i], &x[i + 1], 1);
                 for (rv, uv) in r.iter_mut().zip(ux) { *rv += uv; }
             }
             rhs.push(r);

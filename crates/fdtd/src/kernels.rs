@@ -5,8 +5,9 @@
 //! [`llp::doacross_slabs`] — one row is one slab, the paper's
 //! loop-level discipline — and runs its inner x loop through a
 //! const-generic lane kernel (`W ∈ {1, 2, 4, 8}` points per lane
-//! group, `chunks_exact_mut` + scalar remainder) that rustc can lower
-//! to SIMD.
+//! group over `chunks_exact_mut`) that rustc can lower to SIMD. `W = 1`
+//! is the scalar kernel, and the points past the last full lane group
+//! run the same body at `W = 1`.
 //!
 //! **Exactness.** The lane kernels vectorize across *independent
 //! outputs* (points of a row) and never across a reduction: every
@@ -24,7 +25,6 @@
 
 use crate::grid::{Boundary, TezGrid};
 use llp::{doacross_slabs, Workers};
-use solver::Variant;
 
 /// Advance `Hz` one half-step: `∂Hz/∂t = ∂Ex/∂y − ∂Ey/∂x`, parallel
 /// over rows at SLP lane width `width` (one of
@@ -41,7 +41,6 @@ pub fn update_h(workers: &Workers, grid: &mut TezGrid, width: usize) {
     let (nx, ny, s) = (*nx, *ny, *courant);
     let periodic = *boundary == Boundary::Periodic;
     let e: &[[f64; 2]] = e;
-    let variant = Variant::from_width(width).unwrap_or_default();
     doacross_slabs(workers, hz.as_mut_slice(), nx, move |j, row| {
         // PEC: the top Hz row sits outside the staggered interior.
         if !periodic && j == ny - 1 {
@@ -50,12 +49,12 @@ pub fn update_h(workers: &Workers, grid: &mut TezGrid, width: usize) {
         let jp1 = if j + 1 == ny { 0 } else { j + 1 };
         let e_row = &e[j * nx..(j + 1) * nx];
         let e_up = &e[jp1 * nx..jp1 * nx + nx];
-        let end = nx - 1;
-        match variant {
-            Variant::Scalar => h_row_lanes::<1>(row, e_row, e_up, s, end),
-            Variant::Wide2 => h_row_lanes::<2>(row, e_row, e_up, s, end),
-            Variant::Wide4 => h_row_lanes::<4>(row, e_row, e_up, s, end),
-            Variant::Wide8 => h_row_lanes::<8>(row, e_row, e_up, s, end),
+        let span = &mut row[..nx - 1];
+        match width {
+            2 => h_row_lanes::<2>(span, 0, e_row, e_up, s),
+            4 => h_row_lanes::<4>(span, 0, e_row, e_up, s),
+            8 => h_row_lanes::<8>(span, 0, e_row, e_up, s),
+            _ => h_row_lanes::<1>(span, 0, e_row, e_up, s),
         }
         if periodic {
             // Wrap column: Ey neighbor comes from i = 0.
@@ -80,7 +79,6 @@ pub fn update_e(workers: &Workers, grid: &mut TezGrid, width: usize) {
     let (nx, ny, s) = (*nx, *ny, *courant);
     let periodic = *boundary == Boundary::Periodic;
     let hz: &[f64] = hz;
-    let variant = Variant::from_width(width).unwrap_or_default();
     doacross_slabs(workers, e.as_mut_slice(), nx, move |j, row| {
         let hz_row = &hz[j * nx..(j + 1) * nx];
         let jm1 = if j == 0 { ny - 1 } else { j - 1 };
@@ -111,27 +109,28 @@ pub fn update_e(workers: &Workers, grid: &mut TezGrid, width: usize) {
             }
             (1, nx - 1)
         };
-        match variant {
-            Variant::Scalar => e_row_lanes::<1>(row, hz_row, hz_dn, s, start, end, do_ex, do_ey),
-            Variant::Wide2 => e_row_lanes::<2>(row, hz_row, hz_dn, s, start, end, do_ex, do_ey),
-            Variant::Wide4 => e_row_lanes::<4>(row, hz_row, hz_dn, s, start, end, do_ex, do_ey),
-            Variant::Wide8 => e_row_lanes::<8>(row, hz_row, hz_dn, s, start, end, do_ex, do_ey),
+        let span = &mut row[start..end];
+        match width {
+            2 => e_row_lanes::<2>(span, start, hz_row, hz_dn, s, do_ex, do_ey),
+            4 => e_row_lanes::<4>(span, start, hz_row, hz_dn, s, do_ex, do_ey),
+            8 => e_row_lanes::<8>(span, start, hz_row, hz_dn, s, do_ex, do_ey),
+            _ => e_row_lanes::<1>(span, start, hz_row, hz_dn, s, do_ex, do_ey),
         }
     });
 }
 
-/// `Hz` lane kernel over `i ∈ [0, end)`: `W` independent points per
-/// group, identical per-point operation sequence at every `W`.
+/// `Hz` lane kernel over the points `first..first + span.len()`: `W`
+/// independent points per group, identical per-point operation
+/// sequence at every `W`.
 fn h_row_lanes<const W: usize>(
-    hz: &mut [f64],
+    span: &mut [f64],
+    first: usize,
     e_row: &[[f64; 2]],
     e_up: &[[f64; 2]],
     s: f64,
-    end: usize,
 ) {
-    let span = &mut hz[..end];
     let mut chunks = span.chunks_exact_mut(W);
-    let mut base = 0;
+    let mut base = first;
     for chunk in &mut chunks {
         for (l, out) in chunk.iter_mut().enumerate() {
             let i = base + l;
@@ -139,29 +138,25 @@ fn h_row_lanes<const W: usize>(
         }
         base += W;
     }
-    for (off, out) in chunks.into_remainder().iter_mut().enumerate() {
-        let i = base + off;
-        *out += s * ((e_up[i][0] - e_row[i][0]) - (e_row[i + 1][1] - e_row[i][1]));
+    if W > 1 {
+        h_row_lanes::<1>(chunks.into_remainder(), base, e_row, e_up, s);
     }
 }
 
-/// `E` lane kernel over `i ∈ [start, end)`: both components of `W`
-/// independent points per group, identical per-point operation
-/// sequence at every `W`.
-#[allow(clippy::too_many_arguments)]
+/// `E` lane kernel over the points `first..first + span.len()`: both
+/// components of `W` independent points per group, identical per-point
+/// operation sequence at every `W`.
 fn e_row_lanes<const W: usize>(
-    e: &mut [[f64; 2]],
+    span: &mut [[f64; 2]],
+    first: usize,
     hz_row: &[f64],
     hz_dn: &[f64],
     s: f64,
-    start: usize,
-    end: usize,
     do_ex: bool,
     do_ey: bool,
 ) {
-    let span = &mut e[start..end];
     let mut chunks = span.chunks_exact_mut(W);
-    let mut base = start;
+    let mut base = first;
     for chunk in &mut chunks {
         for (l, p) in chunk.iter_mut().enumerate() {
             let i = base + l;
@@ -174,14 +169,16 @@ fn e_row_lanes<const W: usize>(
         }
         base += W;
     }
-    for (off, p) in chunks.into_remainder().iter_mut().enumerate() {
-        let i = base + off;
-        if do_ex {
-            p[0] += s * (hz_row[i] - hz_dn[i]);
-        }
-        if do_ey {
-            p[1] -= s * (hz_row[i] - hz_row[i - 1]);
-        }
+    if W > 1 {
+        e_row_lanes::<1>(
+            chunks.into_remainder(),
+            base,
+            hz_row,
+            hz_dn,
+            s,
+            do_ex,
+            do_ey,
+        );
     }
 }
 

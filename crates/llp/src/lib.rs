@@ -10,7 +10,9 @@
 //! * **Static chunked scheduling** ([`schedule`]): iterations are
 //!   divided into at most `P` contiguous chunks with the largest chunk
 //!   of size `ceil(N / P)`, so measured speedups follow the stair-step
-//!   law of `perfmodel::stairstep`.
+//!   law of `perfmodel::stairstep`. The same module apportions a
+//!   processor budget across zone teams for multi-level parallelism
+//!   ([`partition_processors`]).
 //! * **Synchronization accounting** ([`pool`]): every parallel region
 //!   exit is one synchronization event, the quantity Tables 1 and 2 of
 //!   the paper budget for.
@@ -19,7 +21,8 @@
 //!   idiom (paper Example 1).
 //! * **Loop fusion** ([`fusion`]): merging adjacent loops under one
 //!   parallel region to reduce synchronization events (paper Example 2).
-//! * **Parent-loop hoisting with pencil scratch** ([`pencil`]): hoisting
+//! * **Parent-loop hoisting with pencil scratch**
+//!   ([`doacross_into_scratch`], [`doacross_slabs_scratch`]): hoisting
 //!   the parallel loop into a parent subroutine while each worker
 //!   carries a cache-resident 1-D scratch buffer (paper Example 3) —
 //!   this reduced synchronization events by 1–3 orders of magnitude and
@@ -43,11 +46,9 @@ pub mod doacross;
 pub mod env;
 pub mod fusion;
 pub mod obs;
-pub mod pencil;
 pub mod pool;
 pub mod profile;
 pub mod schedule;
-pub mod teams;
 
 pub use advisor::{Advice, Advisor, LoopDecision, MeasuredAdvice, MeasuredChoice};
 pub use doacross::{
@@ -59,8 +60,6 @@ pub use obs::{
     AttributionReport, FlightRecorder, Histogram, KernelSummary, ObsReport, Recorder, SpanKind,
     SpanNode, Timeline,
 };
-pub use pencil::with_pencil_scratch;
 pub use pool::{default_worker_count, ChunkClaimer, Workers};
 pub use profile::{LoopProfiler, LoopReport};
-pub use schedule::{chunk_bounds, Policy, ScheduleMap, StaticSchedule};
-pub use teams::{partition_processors, Teams};
+pub use schedule::{chunk_bounds, partition_processors, Policy, ScheduleMap, StaticSchedule};

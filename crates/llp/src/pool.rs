@@ -342,14 +342,6 @@ impl Workers {
         }
         out
     }
-
-    /// Run a closure as a (serial) unit on the team. With scoped
-    /// threads there is no persistent pool to pin work to, so this
-    /// simply invokes the closure; it exists to keep call sites that
-    /// distinguish "on the team" from "on the caller" explicit.
-    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        f()
-    }
 }
 
 /// Whether `LLP_FLIGHT=1` forces a flight recorder onto every team.

@@ -9,9 +9,9 @@
 //! an invariant the integration tests check end to end.
 
 use crate::solvers::KINDS as SOLVERS;
-use f3d::kernels::SUPPORTED_WIDTHS;
 use llp::obs::json::Json;
 use llp::obs::Histogram;
+use solver::SUPPORTED_WIDTHS;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The status codes the service emits, each with its own counter.

@@ -34,7 +34,7 @@
 
 pub mod widths;
 
-pub use widths::{validate_width, Variant, WidthMap, SUPPORTED_WIDTHS};
+pub use widths::{validate_width, WidthMap, SUPPORTED_WIDTHS};
 
 use llp::{ObsReport, Policy, ScheduleMap, Timeline, Workers};
 

@@ -3,30 +3,34 @@
 //! The paper parallelizes *outer* loops because the inner loops of the
 //! sweeps were "vectorizable but short" — on a RISC SMP the vector
 //! hardware is gone, but the instruction-level form of that inner
-//! parallelism is not. This module names the widths the explicitly
-//! vectorized kernel variants come in (`W ∈ {1, 2, 4, 8}` lanes of
-//! array-chunked safe Rust that rustc can lower to SIMD) and carries
-//! the per-kernel selection ([`WidthMap`]) from the tune database down
-//! into the steppers, the same road the per-kernel
-//! [`llp::ScheduleMap`] travels. It lives in the workload-agnostic
-//! `solver` crate because the axis is: every physics dispatches its
-//! kernel variants through the same vocabulary.
+//! parallelism is not. This module names the lane widths the kernels
+//! are compiled at (`W ∈ {1, 2, 4, 8}` lanes of array-chunked safe Rust
+//! that rustc can lower to SIMD) and carries the per-kernel selection
+//! ([`WidthMap`]) from the tune database down into the steppers, the
+//! same road the per-kernel [`llp::ScheduleMap`] travels. It lives in
+//! the workload-agnostic `solver` crate because the axis is: every
+//! physics dispatches its kernels through the same vocabulary.
 //!
-//! **Exactness policy.** Every wide variant vectorizes across
-//! *independent outputs* (points of a pencil, rows or columns of a
-//! block) and never across a reduction, so each output's
-//! floating-point operation sequence is identical to the scalar
-//! reference and the results are bit-exact at every width — asserted
-//! per workload by its property suite. No kernel needs a tolerance.
+//! **One body per kernel.** Each kernel is written once, const-generic
+//! over `W`, and `W = 1` *is* the scalar kernel. A kernel dispatches
+//! with `match width { 2 => body::<2>, 4 => body::<4>, 8 => body::<8>,
+//! _ => body::<1> }`, and the points past its last full lane group run
+//! the same body at `W = 1`.
+//!
+//! **Exactness policy.** Lane groups vectorize across *independent
+//! outputs* (points of a pencil, rows or columns of a block) and never
+//! across a reduction, so each output's floating-point operation
+//! sequence is the same at every width and the results are bit-exact —
+//! asserted per workload by its property suite. No kernel needs a
+//! tolerance.
 //!
 //! Kernels whose inner loop is pure data movement have no arithmetic
 //! to widen: they accept a width entry but execute the same code at
 //! every width.
 
-/// The lane widths the kernel variants are compiled for. Width 1 is
-/// the scalar reference; kernels whose natural unit is smaller than a
-/// lane group degenerate to the scalar remainder (documented on the
-/// variants).
+/// The lane widths the kernels are compiled for. Width 1 is the scalar
+/// case of the same kernel body, not a separate reference; points past
+/// the last full lane group run that body at width 1.
 pub const SUPPORTED_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 /// Check a width against [`SUPPORTED_WIDTHS`].
@@ -40,48 +44,6 @@ pub fn validate_width(width: usize) -> Result<(), String> {
         Err(format!(
             "vector_width must be one of {SUPPORTED_WIDTHS:?}, got {width}"
         ))
-    }
-}
-
-/// One compiled kernel variant: the scalar reference or a fixed-width
-/// lane version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Variant {
-    /// The scalar reference (width 1).
-    #[default]
-    Scalar,
-    /// Two-lane variant.
-    Wide2,
-    /// Four-lane variant.
-    Wide4,
-    /// Eight-lane variant.
-    Wide8,
-}
-
-impl Variant {
-    /// The variant for a supported width.
-    ///
-    /// # Errors
-    /// Rejects widths outside [`SUPPORTED_WIDTHS`].
-    pub fn from_width(width: usize) -> Result<Self, String> {
-        validate_width(width)?;
-        Ok(match width {
-            2 => Self::Wide2,
-            4 => Self::Wide4,
-            8 => Self::Wide8,
-            _ => Self::Scalar,
-        })
-    }
-
-    /// The lane width this variant runs at.
-    #[must_use]
-    pub fn width(self) -> usize {
-        match self {
-            Self::Scalar => 1,
-            Self::Wide2 => 2,
-            Self::Wide4 => 4,
-            Self::Wide8 => 8,
-        }
     }
 }
 
@@ -165,14 +127,11 @@ mod tests {
     fn width_vocabulary_is_validated() {
         for w in SUPPORTED_WIDTHS {
             assert!(validate_width(w).is_ok());
-            assert_eq!(Variant::from_width(w).unwrap().width(), w);
         }
         for w in [0, 3, 5, 16, usize::MAX] {
             let err = validate_width(w).unwrap_err();
             assert!(err.contains("vector_width"), "{err}");
-            assert!(Variant::from_width(w).is_err());
         }
-        assert_eq!(Variant::default(), Variant::Scalar);
     }
 
     #[test]

@@ -526,7 +526,7 @@ mod tests {
             assert!(e.candidates_tried >= 2);
             assert!(e.iterations > 0);
             assert!(
-                f3d::kernels::SUPPORTED_WIDTHS.contains(&e.vector_width),
+                solver::SUPPORTED_WIDTHS.contains(&e.vector_width),
                 "{}: width {}",
                 e.kernel,
                 e.vector_width

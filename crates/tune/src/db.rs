@@ -2,9 +2,9 @@
 //! their measured and modeled costs, serialized with the suite's own
 //! JSON layer so `llpd` can persist and reload it.
 
-use f3d::kernels::WidthMap;
 use llp::obs::json::Json;
 use llp::{MeasuredChoice, Policy, ScheduleMap};
+use solver::WidthMap;
 use std::path::Path;
 
 /// Schema version of [`TuneDb::to_json`]; bumped on layout changes.
