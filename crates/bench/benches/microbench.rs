@@ -6,18 +6,18 @@
 //! reproduces the paper's 1999-hardware shapes, while these benches
 //! verify the *code* itself behaves as the paper predicts on any
 //! cache-based machine — the tuned implementation beats the vector one
-//! serially, fused loops beat unfused ones, and the synchronization
-//! overhead of a doacross region is measurable.
+//! serially, and the synchronization overhead of a doacross region is
+//! measurable.
 //!
 //! Run with `cargo bench -p bench`; pass a substring argument to run a
-//! subset (e.g. `cargo bench -p bench -- fusion`).
+//! subset (e.g. `cargo bench -p bench -- obs`).
 
 use f3d::bc::ZoneBcs;
 use f3d::blocktri::{identity, scale, solve_block_tridiagonal, BlockTriScratch};
 use f3d::risc_impl::RiscStepper;
 use f3d::solver::SolverConfig;
 use f3d::vector_impl::VectorStepper;
-use llp::{doacross, FusedRegion, Workers};
+use llp::{doacross, Workers};
 use mesh::{Dims, Metrics};
 use std::hint::black_box;
 use std::time::Instant;
@@ -116,32 +116,6 @@ fn bench_obs_overhead(filter: &str) {
     });
 }
 
-fn bench_fusion(filter: &str) {
-    let workers = Workers::new(2);
-    let n = 64usize;
-    let work = |i: usize| {
-        let mut acc = i as f64;
-        for k in 0..200 {
-            acc = (acc + k as f64).sqrt() + 1.0;
-        }
-        black_box(acc);
-    };
-    bench(filter, "loop_fusion/fused_3_bodies", || {
-        FusedRegion::over(n)
-            .then(work)
-            .then(work)
-            .then(work)
-            .run(&workers);
-    });
-    bench(filter, "loop_fusion/unfused_3_bodies", || {
-        FusedRegion::over(n)
-            .then(work)
-            .then(work)
-            .then(work)
-            .run_unfused(&workers);
-    });
-}
-
 fn bench_cachesim(filter: &str) {
     use cachesim::patterns::GridTraversal;
     use cachesim::presets::origin2000_r12k;
@@ -174,7 +148,6 @@ fn main() {
     bench_blocktri(&filter);
     bench_llp_overhead(&filter);
     bench_obs_overhead(&filter);
-    bench_fusion(&filter);
     bench_cachesim(&filter);
     bench_smpsim_exec(&filter);
 }

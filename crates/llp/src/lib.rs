@@ -19,8 +19,6 @@
 //! * **Doacross regions** ([`doacross`]): parallel loops over index
 //!   ranges, slices and chunked slabs — the `C$doacross local(L,J,K)`
 //!   idiom (paper Example 1).
-//! * **Loop fusion** ([`fusion`]): merging adjacent loops under one
-//!   parallel region to reduce synchronization events (paper Example 2).
 //! * **Parent-loop hoisting with pencil scratch**
 //!   ([`doacross_into_scratch`], [`doacross_slabs_scratch`]): hoisting
 //!   the parallel loop into a parent subroutine while each worker
@@ -44,7 +42,6 @@
 pub mod advisor;
 pub mod doacross;
 pub mod env;
-pub mod fusion;
 pub mod obs;
 pub mod pool;
 pub mod profile;
@@ -55,7 +52,6 @@ pub use doacross::{
     doacross, doacross_into, doacross_into_scratch, doacross_reduce, doacross_slabs,
     doacross_slabs_scratch,
 };
-pub use fusion::FusedRegion;
 pub use obs::{
     AttributionReport, FlightRecorder, Histogram, KernelSummary, ObsReport, Recorder, SpanKind,
     SpanNode, Timeline,

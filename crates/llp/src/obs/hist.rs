@@ -28,6 +28,14 @@
 use crate::obs::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Add `x` to the `f64` whose bits `cell` holds. Std has no atomic
+/// `f64`, so this is a compare-and-swap on the bit pattern, retried
+/// only if another writer got in between.
+pub fn add_f64(cell: &AtomicU64, x: f64) {
+    let add = |bits| Some((f64::from_bits(bits) + x).to_bits());
+    let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
+}
+
 /// A fixed-bucket histogram of `f64` observations.
 #[derive(Debug)]
 pub struct Histogram {
@@ -86,21 +94,7 @@ impl Histogram {
         self.counts[idx].fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(1, Ordering::Relaxed);
         if value.is_finite() {
-            // f64 accumulation via CAS on the bit pattern (no f64
-            // atomics in std); contention is a handful of threads.
-            let mut current = self.sum_bits.load(Ordering::Relaxed);
-            loop {
-                let next = (f64::from_bits(current) + value).to_bits();
-                match self.sum_bits.compare_exchange_weak(
-                    current,
-                    next,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(seen) => current = seen,
-                }
-            }
+            add_f64(&self.sum_bits, value);
         }
     }
 

@@ -1,18 +1,20 @@
 //! Service counters behind `GET /metrics`.
 //!
-//! Everything is a relaxed atomic: connection threads bump request and
-//! status counters, the executor bumps job and observability totals,
-//! and `/metrics` renders a consistent-enough snapshot without taking
-//! any lock. The observability totals (`obs_sync_events_total`,
-//! `obs_seconds_total`) accumulate the per-request span reports, so
-//! they must agree with the pool's own synchronization-event counter —
-//! an invariant the integration tests check end to end.
+//! One static table, `FAMILIES`, names every signal once: JSON key,
+//! Prometheus name and type, help text and, for labeled families, the
+//! label vocabulary. Each series is one relaxed atomic, so connection
+//! threads and the executor record without a lock, and a scrape walks
+//! one snapshot into JSON or Prometheus text. The observability totals
+//! (`obs_*`) accumulate the per-request span reports, so they must
+//! agree with the pool's own sync-event counter — an invariant the
+//! integration tests check end to end.
 
-use crate::solvers::KINDS as SOLVERS;
+use crate::solvers::{self, KINDS as SOLVERS};
+use llp::obs::hist::{add_f64, Histogram};
 use llp::obs::json::Json;
-use llp::obs::Histogram;
 use solver::SUPPORTED_WIDTHS;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt::{self, Write as _};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// The status codes the service emits, each with its own counter.
 pub const TRACKED_STATUSES: [u16; 9] = [200, 400, 404, 405, 408, 413, 429, 500, 503];
@@ -22,70 +24,189 @@ pub const ENDPOINTS: [&str; 9] = [
     "solve", "advise", "model", "metrics", "trace", "tune", "health", "stats", "other",
 ];
 
-/// The parallel kernels with per-kernel solve-seconds counters — the
-/// f3d vocabulary followed by the fdtd one — plus a fold-in slot for
-/// anything outside the fixed set.
-pub const KERNELS: [&str; 9] = [
-    "j_factor",
-    "k_factor",
-    "l_factor_scatter",
-    "l_factor_solve",
-    "rhs",
-    "update",
-    "update_e",
-    "update_h",
-    "other",
-];
-
 /// Requested-schedule labels for executed solves.
 pub const SCHEDULES: [&str; 4] = ["static", "dynamic", "guided", "auto"];
+
+/// The kernel label vocabulary: every registered solver's parallel
+/// kernels in [`solvers::KINDS`] order, then `other`, which absorbs
+/// the serial phases (`bc`, `source`) and any unknown name.
+fn kernels() -> Vec<String> {
+    let registered = SOLVERS.iter().flat_map(|&kind| solvers::kernel_names(kind));
+    registered
+        .copied()
+        .chain(["other"])
+        .map(String::from)
+        .collect()
+}
+
+fn strings<T: ToString>(vocabulary: &[T]) -> Vec<String> {
+    vocabulary.iter().map(T::to_string).collect()
+}
+
+/// A label name and the function listing its values.
+type Label = (&'static str, fn() -> Vec<String>);
+
+/// One row of the family table.
+#[derive(Clone, Copy)]
+struct Family {
+    /// JSON key; `group.key` lands in the `group` object.
+    json: &'static str,
+    /// Prometheus name, after the `llpd_` prefix.
+    prom: &'static str,
+    /// Prometheus type: `counter` or `gauge`.
+    kind: &'static str,
+    help: &'static str,
+    /// The label of a labeled family.
+    label: Option<Label>,
+    /// Cells hold `f64` bits rather than integers.
+    float: bool,
+}
+
+impl Family {
+    const fn counter(json: &'static str, help: &'static str) -> Self {
+        Self {
+            json,
+            prom: json,
+            kind: "counter",
+            help,
+            label: None,
+            float: false,
+        }
+    }
+
+    const fn gauge(json: &'static str, help: &'static str) -> Self {
+        let mut family = Self::counter(json, help);
+        family.kind = "gauge";
+        family
+    }
+
+    const fn prom(mut self, prom: &'static str) -> Self {
+        self.prom = prom;
+        self
+    }
+
+    const fn by(mut self, label: &'static str, vocabulary: fn() -> Vec<String>) -> Self {
+        self.label = Some((label, vocabulary));
+        self
+    }
+
+    const fn float(mut self) -> Self {
+        self.float = true;
+        self
+    }
+}
+
+/// Family ids, in [`FAMILIES`] order.
+#[derive(Clone, Copy)]
+#[rustfmt::skip]
+enum F {
+    Requests, Rejected, Timeouts, QueueDepth, ExecutorBusy, ExecutorShards, Panics,
+    OpenConnections, Jobs, CacheHits, CacheMisses, CacheCoalesced, CacheBypass, CacheEvictions,
+    CacheEntries, ZoneJobs, ZoneTasks, ZoneShards, ZonePeakReady, BySolver, RejectedMemory,
+    ByWidth, BySchedule, KernelSeconds, TuneStale, ByEndpoint, ByStatus, PoolWorkers,
+    PoolSyncEvents, PoolRegions, ObsReports, ObsSyncEvents, ObsSeconds,
+}
+
+/// Every counter and gauge, in JSON key order.
+#[rustfmt::skip]
+static FAMILIES: [Family; 33] = [
+    Family::counter("requests_total", "Requests routed, all endpoints."),
+    Family::counter("rejected_total", "Requests rejected with 429 back-pressure."),
+    Family::counter("timeouts_total", "Requests abandoned at their deadline."),
+    Family::gauge("queue_depth", "Jobs currently queued."),
+    Family::gauge("executor_busy", "Executor shards currently mid-job."),
+    Family::gauge("executor_shards", "Executor shards configured."),
+    Family::counter("executor_panics_total", "Jobs that panicked and were contained."),
+    Family::gauge("open_connections", "Connections currently open."),
+    Family::counter("jobs_total", "Executor jobs completed."),
+    Family::counter("cache.hits", "Solves served from the result cache.")
+        .prom("cache_hits_total"),
+    Family::counter("cache.misses", "Solves that missed the cache and executed.")
+        .prom("cache_misses_total"),
+    Family::counter("cache.coalesced", "Solves coalesced onto in-flight executions.")
+        .prom("cache_coalesced_total"),
+    Family::counter("cache.bypass", "Solves that bypassed the cache on request.")
+        .prom("cache_bypass_total"),
+    Family::counter("cache.evictions", "Cache entries evicted.").prom("cache_evictions_total"),
+    Family::gauge("cache.entries", "Cache entries currently resident.").prom("cache_entries"),
+    Family::counter("zones.jobs", "Zone-scheduled solves executed.").prom("zone_jobs_total"),
+    Family::counter("zones.tasks", "Zone tasks stepped across zone-scheduled solves.")
+        .prom("zone_tasks_total"),
+    Family::gauge("zones.shards_last", "Shards the most recent zone job dispatched over.")
+        .prom("zone_shards_last"),
+    Family::gauge("zones.peak_ready_last", "Peak ready-queue occupancy of the most recent zone job.")
+        .prom("zone_peak_ready_last"),
+    Family::counter("solves_by_solver", "Executed solves, by solver kind.")
+        .prom("solves_by_solver_total").by("solver", || strings(&SOLVERS)),
+    Family::counter("solves_rejected_memory_total", "Solves rejected by memory-budget admission control."),
+    Family::counter("solves_by_vector_width", "Executed solves, by SLP lane width.")
+        .prom("solves_by_vector_width_total").by("vector_width", || strings(&SUPPORTED_WIDTHS)),
+    Family::counter("solves_by_schedule", "Executed solves, by requested schedule.")
+        .prom("solves_by_schedule_total").by("schedule", || strings(&SCHEDULES)),
+    Family::counter("kernel_seconds", "Attributed wall seconds, by kernel.")
+        .prom("kernel_seconds_total").by("kernel", kernels).float(),
+    Family::gauge("tune_entries_stale", "Tune entries the drift watchdog has flagged stale."),
+    Family::counter("endpoints", "Requests routed, by endpoint family.")
+        .prom("requests_by_endpoint_total").by("endpoint", || strings(&ENDPOINTS)),
+    Family::counter("status", "Responses sent, by status code.")
+        .prom("responses_total").by("status", || strings(&TRACKED_STATUSES)),
+    Family::gauge("pool_workers", "Worker lanes in the shared pool."),
+    Family::counter("pool_sync_events_total", "Synchronization events executed by the pool."),
+    Family::counter("pool_regions_total", "Parallel regions executed by the pool."),
+    Family::counter("obs_reports_total", "Span reports folded into the totals."),
+    Family::counter("obs_sync_events_total", "Sync events attributed by span reports."),
+    Family::counter("obs_seconds_total", "Solver wall seconds attributed by span reports.").float(),
+];
+
+/// The two histograms, rendered after the table: JSON key, Prometheus
+/// name, help.
+#[rustfmt::skip]
+const HISTOGRAMS: [(&str, &str, &str); 2] = [
+    ("latency_ms", "request_latency_ms", "End-to-end request latency in milliseconds."),
+    ("queue_depths", "queue_depth_observed", "Queue depth sampled at each admission attempt."),
+];
+
+/// One series' reading.
+#[derive(Clone, Copy)]
+enum Value {
+    Int(u64),
+    Float(f64),
+}
+
+/// The exposition format's number syntax (infinities as `+Inf`/`-Inf`).
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Value::Int(v) => write!(f, "{v}"),
+            Value::Float(v) if v.is_infinite() => {
+                f.write_str(if v > 0.0 { "+Inf" } else { "-Inf" })
+            }
+            Value::Float(v) => write!(f, "{v}"),
+        }
+    }
+}
+
+impl From<Value> for Json {
+    fn from(value: Value) -> Json {
+        match value {
+            Value::Int(v) => Json::from_u64(v),
+            Value::Float(v) => Json::Num(v),
+        }
+    }
+}
+
+/// One scrape's reading of every family, in [`FAMILIES`] order:
+/// `(label value, value)` per series (an empty label when unlabeled).
+type Snapshot<'a> = Vec<Vec<(&'a str, Value)>>;
 
 /// All service counters and gauges.
 #[derive(Debug)]
 pub struct Metrics {
-    requests_total: AtomicU64,
-    rejected_total: AtomicU64,
-    timeouts_total: AtomicU64,
-    queue_depth: AtomicU64,
-    executor_busy: AtomicU64,
-    executor_panics_total: AtomicU64,
-    open_connections: AtomicU64,
-    jobs_total: AtomicU64,
-    obs_reports_total: AtomicU64,
-    obs_sync_events_total: AtomicU64,
-    obs_seconds_total_bits: AtomicU64,
-    cache_hits_total: AtomicU64,
-    cache_misses_total: AtomicU64,
-    cache_coalesced_total: AtomicU64,
-    cache_bypass_total: AtomicU64,
-    cache_evictions_total: AtomicU64,
-    cache_entries: AtomicU64,
-    zone_jobs_total: AtomicU64,
-    zone_tasks_total: AtomicU64,
-    zone_shards_last: AtomicU64,
-    zone_peak_ready_last: AtomicU64,
-    /// Executed solves by solver kind, indexed in
-    /// [`crate::solvers::KINDS`] order.
-    solves_by_solver: [AtomicU64; SOLVERS.len()],
-    /// Solves rejected by memory-budget admission control (413).
-    solves_rejected_memory_total: AtomicU64,
-    /// Executed solves by the vector width they ran at, indexed in
-    /// [`SUPPORTED_WIDTHS`] order.
-    solves_by_width: [AtomicU64; SUPPORTED_WIDTHS.len()],
-    /// Executed solves by the schedule the request asked for, indexed
-    /// in [`SCHEDULES`] order.
-    solves_by_schedule: [AtomicU64; SCHEDULES.len()],
-    /// Attributed wall seconds per kernel (f64 bits), indexed in
-    /// [`KERNELS`] order.
-    kernel_seconds_bits: [AtomicU64; KERNELS.len()],
-    /// Tune entries currently flagged stale by the drift watchdog.
-    tune_entries_stale: AtomicU64,
-    by_endpoint: [AtomicU64; ENDPOINTS.len()],
-    by_status: [AtomicU64; TRACKED_STATUSES.len()],
+    /// Per [`FAMILIES`] row, one `(label value, cell)` per series.
+    cells: Vec<Vec<(String, AtomicU64)>>,
     /// End-to-end request latency (parse through response build), ms.
     latency: Histogram,
-    /// Queue depth sampled at every admission — the distribution a
-    /// single `queue_depth` gauge cannot show.
+    /// Queue depth sampled at every admission attempt.
     queue_depths: Histogram,
 }
 
@@ -95,79 +216,70 @@ impl Default for Metrics {
     }
 }
 
+/// Index of `value` in `vocab`, or `fallback` when it is absent.
+fn fold<T: PartialEq>(vocab: &[T], value: &T, fallback: usize) -> usize {
+    vocab.iter().position(|v| v == value).unwrap_or(fallback)
+}
+
 impl Metrics {
     /// Fresh zeroed metrics.
     #[must_use]
     pub fn new() -> Self {
+        let series = |family: &Family| match family.label {
+            Some((_, vocabulary)) => vocabulary(),
+            None => vec![String::new()],
+        };
+        let zeroed = |family| series(family).into_iter().map(|l| (l, AtomicU64::new(0)));
         Self {
-            requests_total: AtomicU64::new(0),
-            rejected_total: AtomicU64::new(0),
-            timeouts_total: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            executor_busy: AtomicU64::new(0),
-            executor_panics_total: AtomicU64::new(0),
-            open_connections: AtomicU64::new(0),
-            jobs_total: AtomicU64::new(0),
-            obs_reports_total: AtomicU64::new(0),
-            obs_sync_events_total: AtomicU64::new(0),
-            obs_seconds_total_bits: AtomicU64::new(0),
-            cache_hits_total: AtomicU64::new(0),
-            cache_misses_total: AtomicU64::new(0),
-            cache_coalesced_total: AtomicU64::new(0),
-            cache_bypass_total: AtomicU64::new(0),
-            cache_evictions_total: AtomicU64::new(0),
-            cache_entries: AtomicU64::new(0),
-            zone_jobs_total: AtomicU64::new(0),
-            zone_tasks_total: AtomicU64::new(0),
-            zone_shards_last: AtomicU64::new(0),
-            zone_peak_ready_last: AtomicU64::new(0),
-            solves_by_solver: std::array::from_fn(|_| AtomicU64::new(0)),
-            solves_rejected_memory_total: AtomicU64::new(0),
-            solves_by_width: std::array::from_fn(|_| AtomicU64::new(0)),
-            solves_by_schedule: std::array::from_fn(|_| AtomicU64::new(0)),
-            kernel_seconds_bits: std::array::from_fn(|_| AtomicU64::new(0)),
-            tune_entries_stale: AtomicU64::new(0),
-            by_endpoint: std::array::from_fn(|_| AtomicU64::new(0)),
-            by_status: std::array::from_fn(|_| AtomicU64::new(0)),
+            cells: FAMILIES
+                .iter()
+                .map(|family| zeroed(family).collect())
+                .collect(),
             latency: Histogram::latency_ms(),
             queue_depths: Histogram::queue_depth(),
         }
     }
 
-    /// Count one request routed to `endpoint` (see [`ENDPOINTS`]).
+    fn cell(&self, family: F, series: usize) -> &AtomicU64 {
+        &self.cells[family as usize][series].1
+    }
+
+    fn add(&self, family: F, series: usize, n: u64) {
+        self.cell(family, series).fetch_add(n, Relaxed);
+    }
+
+    /// Count one request routed to `endpoint` (see [`ENDPOINTS`];
+    /// anything else folds into `other`).
     pub fn request(&self, endpoint: &str) {
-        self.requests_total.fetch_add(1, Ordering::Relaxed);
-        let idx = ENDPOINTS
-            .iter()
-            .position(|&e| e == endpoint)
-            .unwrap_or(ENDPOINTS.len() - 1);
-        self.by_endpoint[idx].fetch_add(1, Ordering::Relaxed);
+        self.add(F::Requests, 0, 1);
+        let other = ENDPOINTS.len() - 1;
+        self.add(F::ByEndpoint, fold(&ENDPOINTS, &endpoint, other), 1);
     }
 
     /// Count one response with `status`.
     pub fn response(&self, status: u16) {
         if let Some(idx) = TRACKED_STATUSES.iter().position(|&s| s == status) {
-            self.by_status[idx].fetch_add(1, Ordering::Relaxed);
+            self.add(F::ByStatus, idx, 1);
         }
         if status == 429 {
-            self.rejected_total.fetch_add(1, Ordering::Relaxed);
+            self.add(F::Rejected, 0, 1);
         }
     }
 
     /// Count one request abandoned at its deadline.
     pub fn timeout(&self) {
-        self.timeouts_total.fetch_add(1, Ordering::Relaxed);
+        self.add(F::Timeouts, 0, 1);
     }
 
     /// Total 429 responses so far.
     #[must_use]
     pub fn rejected_total(&self) -> u64 {
-        self.rejected_total.load(Ordering::Relaxed)
+        self.cell(F::Rejected, 0).load(Relaxed)
     }
 
     /// Set the queued-job gauge.
     pub fn set_queue_depth(&self, depth: usize) {
-        self.queue_depth.store(depth as u64, Ordering::Relaxed);
+        self.cell(F::QueueDepth, 0).store(depth as u64, Relaxed);
     }
 
     /// Record one end-to-end request latency in milliseconds.
@@ -181,188 +293,163 @@ impl Metrics {
         self.queue_depths.record(depth as f64);
     }
 
-    /// Estimated request-latency quantile in milliseconds (`None`
-    /// before any request completed).
-    #[must_use]
-    pub fn latency_quantile_ms(&self, q: f64) -> Option<f64> {
-        self.latency.quantile(q)
-    }
-
-    /// One executor shard started computing a job: the `executor_busy`
-    /// gauge counts shards currently mid-job.
+    /// One executor shard started a job (`executor_busy` counts shards
+    /// currently mid-job).
     pub fn executor_started(&self) {
-        self.executor_busy.fetch_add(1, Ordering::Relaxed);
+        self.add(F::ExecutorBusy, 0, 1);
     }
 
     /// See [`Metrics::executor_started`].
     pub fn executor_finished(&self) {
-        self.executor_busy.fetch_sub(1, Ordering::Relaxed);
+        self.cell(F::ExecutorBusy, 0).fetch_sub(1, Relaxed);
     }
 
     /// Number of executor shards currently computing a job.
     #[must_use]
     pub fn executors_busy(&self) -> u64 {
-        self.executor_busy.load(Ordering::Relaxed)
+        self.cell(F::ExecutorBusy, 0).load(Relaxed)
     }
 
     /// Count one job that panicked and was contained by its shard.
     pub fn executor_panicked(&self) {
-        self.executor_panics_total.fetch_add(1, Ordering::Relaxed);
+        self.add(F::Panics, 0, 1);
     }
 
     /// Adjust the open-connection gauge by +1 / -1.
     pub fn connection_opened(&self) {
-        self.open_connections.fetch_add(1, Ordering::Relaxed);
+        self.add(F::OpenConnections, 0, 1);
     }
 
     /// See [`Metrics::connection_opened`].
     pub fn connection_closed(&self) {
-        self.open_connections.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Number of connections currently open.
-    #[must_use]
-    pub fn open_connections(&self) -> u64 {
-        self.open_connections.load(Ordering::Relaxed)
+        self.cell(F::OpenConnections, 0).fetch_sub(1, Relaxed);
     }
 
     /// Count one executed job that produced no observability report
     /// (advice is pure computation — no pool work, no spans).
     pub fn job_executed(&self) {
-        self.jobs_total.fetch_add(1, Ordering::Relaxed);
+        self.add(F::Jobs, 0, 1);
     }
 
     /// Fold one completed pool job's observability report totals in.
     pub fn job_done(&self, report_sync_events: u64, report_seconds: f64) {
-        self.jobs_total.fetch_add(1, Ordering::Relaxed);
-        self.obs_reports_total.fetch_add(1, Ordering::Relaxed);
-        self.obs_sync_events_total
-            .fetch_add(report_sync_events, Ordering::Relaxed);
-        // f64 accumulation via compare-exchange on the bit pattern: the
-        // executor is the only writer, so this loop runs once.
-        let mut current = self.obs_seconds_total_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + report_seconds).to_bits();
-            match self.obs_seconds_total_bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => current = seen,
-            }
-        }
+        self.add(F::Jobs, 0, 1);
+        self.add(F::ObsReports, 0, 1);
+        self.add(F::ObsSyncEvents, 0, report_sync_events);
+        add_f64(self.cell(F::ObsSeconds, 0), report_seconds);
     }
 
-    /// Fold one zone-scheduled solve's step statistics in: how many
-    /// zone shards it dispatched over, how many zone tasks it stepped
-    /// across the whole run, and the step DAG's peak ready-queue
-    /// occupancy (`U_zones`). The shard and peak gauges keep the last
-    /// value — the queue picture of the most recent zone job.
+    /// Fold one zone-scheduled solve in: the shards it dispatched over,
+    /// the zone tasks it stepped across the run, and its step DAG's
+    /// peak ready-queue occupancy (`U_zones`). The shard and peak
+    /// gauges keep the most recent zone job's values.
     pub fn zone_job(&self, shards: u64, zone_tasks: u64, peak_ready: u64) {
-        self.zone_jobs_total.fetch_add(1, Ordering::Relaxed);
-        self.zone_tasks_total
-            .fetch_add(zone_tasks, Ordering::Relaxed);
-        self.zone_shards_last.store(shards, Ordering::Relaxed);
-        self.zone_peak_ready_last
-            .store(peak_ready, Ordering::Relaxed);
+        self.add(F::ZoneJobs, 0, 1);
+        self.add(F::ZoneTasks, 0, zone_tasks);
+        self.cell(F::ZoneShards, 0).store(shards, Relaxed);
+        self.cell(F::ZonePeakReady, 0).store(peak_ready, Relaxed);
     }
 
-    /// Count one executed solve of `kind` (see [`crate::solvers::KINDS`];
-    /// unknown kinds fold into the first slot — they cannot reach the
-    /// executor, admission rejects them).
+    /// Count one executed solve of `kind` (unknown kinds, which
+    /// admission rejects, fold into the first slot).
     pub fn solve_solver(&self, kind: &str) {
-        let idx = SOLVERS.iter().position(|&k| k == kind).unwrap_or(0);
-        self.solves_by_solver[idx].fetch_add(1, Ordering::Relaxed);
+        self.add(F::BySolver, fold(&SOLVERS, &kind, 0), 1);
     }
 
     /// Count one solve rejected with 413 because its estimated memory
     /// footprint exceeded the configured budget.
     pub fn solve_rejected_memory(&self) {
-        self.solves_rejected_memory_total
-            .fetch_add(1, Ordering::Relaxed);
+        self.add(F::RejectedMemory, 0, 1);
     }
 
-    /// Count one executed solve at `width` lanes. Unsupported widths
-    /// cannot reach the executor (admission validates them), but an
-    /// unknown value folds into the scalar bucket rather than panicking
-    /// in the metrics path.
+    /// Count one executed solve at `width` lanes (unsupported widths,
+    /// which admission rejects, fold into the scalar bucket).
     pub fn solve_width(&self, width: usize) {
-        let idx = SUPPORTED_WIDTHS
-            .iter()
-            .position(|&w| w == width)
-            .unwrap_or(0);
-        self.solves_by_width[idx].fetch_add(1, Ordering::Relaxed);
+        self.add(F::ByWidth, fold(&SUPPORTED_WIDTHS, &width, 0), 1);
     }
 
     /// Count one executed solve under the requested schedule label
     /// (see [`SCHEDULES`]; unknown labels fold into `static`).
     pub fn solve_schedule(&self, schedule: &str) {
-        let idx = SCHEDULES.iter().position(|&s| s == schedule).unwrap_or(0);
-        self.solves_by_schedule[idx].fetch_add(1, Ordering::Relaxed);
+        self.add(F::BySchedule, fold(&SCHEDULES, &schedule, 0), 1);
     }
 
-    /// Fold attributed wall seconds into `kernel`'s counter (see
-    /// [`KERNELS`]; names outside the vocabulary fold into `other`).
+    /// Fold attributed wall seconds into `kernel`'s counter (names
+    /// outside the registered solvers' kernels fold into `other`).
     pub fn kernel_seconds(&self, kernel: &str, seconds: f64) {
-        let idx = KERNELS
-            .iter()
-            .position(|&k| k == kernel)
-            .unwrap_or(KERNELS.len() - 1);
-        let cell = &self.kernel_seconds_bits[idx];
-        let mut current = cell.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + seconds).to_bits();
-            match cell.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(seen) => current = seen,
-            }
-        }
+        let series = &self.cells[F::KernelSeconds as usize];
+        let idx = series.iter().position(|(k, _)| k == kernel);
+        add_f64(&series[idx.unwrap_or(series.len() - 1)].1, seconds);
     }
 
     /// Set the stale-tune-entries gauge (the drift watchdog's count).
     pub fn set_tune_entries_stale(&self, n: usize) {
-        self.tune_entries_stale.store(n as u64, Ordering::Relaxed);
+        self.cell(F::TuneStale, 0).store(n as u64, Relaxed);
     }
 
-    /// Count one solve served straight from the content-addressed
-    /// cache (no execution).
+    /// Count one solve served straight from the result cache.
     pub fn cache_hit(&self) {
-        self.cache_hits_total.fetch_add(1, Ordering::Relaxed);
+        self.add(F::CacheHits, 0, 1);
     }
 
-    /// Count one solve that missed the cache and executed (its result
-    /// was inserted afterwards).
+    /// Count one solve that missed the cache and executed.
     pub fn cache_miss(&self) {
-        self.cache_misses_total.fetch_add(1, Ordering::Relaxed);
+        self.add(F::CacheMisses, 0, 1);
     }
 
-    /// Count one solve coalesced onto an identical in-flight execution
-    /// (it waited for that execution instead of queueing its own job).
+    /// Count one solve coalesced onto an identical in-flight execution.
     pub fn cache_coalesced(&self) {
-        self.cache_coalesced_total.fetch_add(1, Ordering::Relaxed);
+        self.add(F::CacheCoalesced, 0, 1);
     }
 
     /// Count one `"cache": "bypass"` solve (executed unconditionally).
     pub fn cache_bypass(&self) {
-        self.cache_bypass_total.fetch_add(1, Ordering::Relaxed);
+        self.add(F::CacheBypass, 0, 1);
     }
 
     /// Count `n` evicted cache entries and set the resident-entry gauge.
     pub fn cache_evicted(&self, n: u64, entries: usize) {
-        self.cache_evictions_total.fetch_add(n, Ordering::Relaxed);
-        self.cache_entries.store(entries as u64, Ordering::Relaxed);
+        self.add(F::CacheEvictions, 0, n);
+        self.cell(F::CacheEntries, 0).store(entries as u64, Relaxed);
     }
 
-    /// Total cache hits so far.
-    #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits_total.load(Ordering::Relaxed)
+    /// Read every series once; the pool-side families take the values
+    /// the server passes in (it owns the pool).
+    fn snapshot(
+        &self,
+        workers: usize,
+        shards: usize,
+        sync_events: u64,
+        regions: u64,
+    ) -> Snapshot<'_> {
+        let read = |family: &Family, cell: &AtomicU64| match cell.load(Relaxed) {
+            bits if family.float => Value::Float(f64::from_bits(bits)),
+            bits => Value::Int(bits),
+        };
+        let mut snap: Snapshot<'_> = FAMILIES
+            .iter()
+            .zip(&self.cells)
+            .map(|(family, series)| {
+                series
+                    .iter()
+                    .map(|(l, c)| (&l[..], read(family, c)))
+                    .collect()
+            })
+            .collect();
+        let pool = [
+            (F::ExecutorShards, shards as u64),
+            (F::PoolWorkers, workers as u64),
+            (F::PoolSyncEvents, sync_events),
+            (F::PoolRegions, regions),
+        ];
+        for (family, value) in pool {
+            snap[family as usize] = vec![("", Value::Int(value))];
+        }
+        snap
     }
 
-    /// Render the snapshot, including the shared pool's own counters
-    /// and shard count (passed in by the server, which owns the pool).
+    /// Render the snapshot as JSON, including the shared pool's own
+    /// counters and shard count (passed in by the server).
     #[must_use]
     pub fn to_json(
         &self,
@@ -371,129 +458,41 @@ impl Metrics {
         pool_sync_events: u64,
         pool_regions: u64,
     ) -> Json {
-        let load = |a: &AtomicU64| Json::from_u64(a.load(Ordering::Relaxed));
-        Json::object(vec![
-            ("requests_total", load(&self.requests_total)),
-            ("rejected_total", load(&self.rejected_total)),
-            ("timeouts_total", load(&self.timeouts_total)),
-            ("queue_depth", load(&self.queue_depth)),
-            ("executor_busy", load(&self.executor_busy)),
-            ("executor_shards", Json::from_usize(executor_shards)),
-            ("executor_panics_total", load(&self.executor_panics_total)),
-            ("open_connections", load(&self.open_connections)),
-            ("jobs_total", load(&self.jobs_total)),
-            (
-                "cache",
-                Json::object(vec![
-                    ("hits", load(&self.cache_hits_total)),
-                    ("misses", load(&self.cache_misses_total)),
-                    ("coalesced", load(&self.cache_coalesced_total)),
-                    ("bypass", load(&self.cache_bypass_total)),
-                    ("evictions", load(&self.cache_evictions_total)),
-                    ("entries", load(&self.cache_entries)),
-                ]),
-            ),
-            (
-                "zones",
-                Json::object(vec![
-                    ("jobs", load(&self.zone_jobs_total)),
-                    ("tasks", load(&self.zone_tasks_total)),
-                    ("shards_last", load(&self.zone_shards_last)),
-                    ("peak_ready_last", load(&self.zone_peak_ready_last)),
-                ]),
-            ),
-            (
-                "solves_by_solver",
-                Json::Object(
-                    SOLVERS
-                        .iter()
-                        .zip(&self.solves_by_solver)
-                        .map(|(&kind, counter)| (kind.to_string(), load(counter)))
-                        .collect(),
-                ),
-            ),
-            (
-                "solves_rejected_memory_total",
-                load(&self.solves_rejected_memory_total),
-            ),
-            (
-                "solves_by_vector_width",
-                Json::Object(
-                    SUPPORTED_WIDTHS
-                        .iter()
-                        .zip(&self.solves_by_width)
-                        .map(|(&w, counter)| (w.to_string(), load(counter)))
-                        .collect(),
-                ),
-            ),
-            (
-                "solves_by_schedule",
-                Json::Object(
-                    SCHEDULES
-                        .iter()
-                        .zip(&self.solves_by_schedule)
-                        .map(|(&name, counter)| (name.to_string(), load(counter)))
-                        .collect(),
-                ),
-            ),
-            (
-                "kernel_seconds",
-                Json::Object(
-                    KERNELS
-                        .iter()
-                        .zip(&self.kernel_seconds_bits)
-                        .map(|(&name, bits)| {
-                            (
-                                name.to_string(),
-                                Json::Num(f64::from_bits(bits.load(Ordering::Relaxed))),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            ("tune_entries_stale", load(&self.tune_entries_stale)),
-            (
-                "endpoints",
-                Json::Object(
-                    ENDPOINTS
-                        .iter()
-                        .zip(&self.by_endpoint)
-                        .map(|(&name, counter)| (name.to_string(), load(counter)))
-                        .collect(),
-                ),
-            ),
-            (
-                "status",
-                Json::Object(
-                    TRACKED_STATUSES
-                        .iter()
-                        .zip(&self.by_status)
-                        .map(|(&status, counter)| (status.to_string(), load(counter)))
-                        .collect(),
-                ),
-            ),
-            ("pool_workers", Json::from_usize(pool_workers)),
-            ("pool_sync_events_total", Json::from_u64(pool_sync_events)),
-            ("pool_regions_total", Json::from_u64(pool_regions)),
-            ("obs_reports_total", load(&self.obs_reports_total)),
-            ("obs_sync_events_total", load(&self.obs_sync_events_total)),
-            (
-                "obs_seconds_total",
-                Json::Num(f64::from_bits(
-                    self.obs_seconds_total_bits.load(Ordering::Relaxed),
-                )),
-            ),
-            ("latency_ms", self.latency.to_json()),
-            ("queue_depths", self.queue_depths.to_json()),
-        ])
+        let snap = self.snapshot(
+            pool_workers,
+            executor_shards,
+            pool_sync_events,
+            pool_regions,
+        );
+        let mut top: Vec<(String, Json)> = Vec::new();
+        for (family, series) in FAMILIES.iter().zip(snap) {
+            let value = match family.label {
+                None => series[0].1.into(),
+                Some(_) => {
+                    Json::Object(series.iter().map(|&(l, v)| (l.into(), v.into())).collect())
+                }
+            };
+            let Some((group, key)) = family.json.split_once('.') else {
+                top.push((family.json.into(), value));
+                continue;
+            };
+            if top.last().is_none_or(|(k, _)| k != group) {
+                top.push((group.into(), Json::Object(Vec::new())));
+            }
+            if let Some((_, Json::Object(members))) = top.last_mut() {
+                members.push((key.into(), value));
+            }
+        }
+        for ((key, _, _), hist) in HISTOGRAMS.iter().zip([&self.latency, &self.queue_depths]) {
+            top.push((key.to_string(), hist.to_json()));
+        }
+        Json::Object(top)
     }
 
-    /// Render the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4): one `# TYPE`d family per signal, labels for
-    /// endpoint / status / kernel / schedule / `vector_width`, and the
-    /// two histograms as cumulative `_bucket` / `_sum` / `_count`
-    /// series. Takes the same pool context as [`Metrics::to_json`] —
-    /// the two renderings are views of one set of counters.
+    /// Render the same snapshot in the Prometheus text exposition
+    /// format (version 0.0.4): `# HELP` and `# TYPE` before each
+    /// family's samples, one labeled series per vocabulary entry, and
+    /// the histograms as cumulative `_bucket` / `_sum` / `_count`.
     #[must_use]
     pub fn to_prometheus(
         &self,
@@ -502,524 +501,211 @@ impl Metrics {
         pool_sync_events: u64,
         pool_regions: u64,
     ) -> String {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut out = String::with_capacity(4096);
-        let mut plain = |name: &str, kind: &str, help: &str, value: String| {
-            out.push_str(&format!(
-                "# HELP llpd_{name} {help}\n# TYPE llpd_{name} {kind}\nllpd_{name} {value}\n"
-            ));
+        let snap = self.snapshot(
+            pool_workers,
+            executor_shards,
+            pool_sync_events,
+            pool_regions,
+        );
+        let mut out = String::with_capacity(8192);
+        let head = |out: &mut String, name: &str, kind: &str, help: &str| {
+            let _ = writeln!(out, "# HELP llpd_{name} {help}\n# TYPE llpd_{name} {kind}");
         };
-        plain(
-            "requests_total",
-            "counter",
-            "Requests routed, all endpoints.",
-            load(&self.requests_total).to_string(),
-        );
-        plain(
-            "rejected_total",
-            "counter",
-            "Requests rejected with 429 back-pressure.",
-            load(&self.rejected_total).to_string(),
-        );
-        plain(
-            "timeouts_total",
-            "counter",
-            "Requests abandoned at their deadline.",
-            load(&self.timeouts_total).to_string(),
-        );
-        plain(
-            "jobs_total",
-            "counter",
-            "Executor jobs completed.",
-            load(&self.jobs_total).to_string(),
-        );
-        plain(
-            "executor_panics_total",
-            "counter",
-            "Jobs that panicked and were contained.",
-            load(&self.executor_panics_total).to_string(),
-        );
-        plain(
-            "queue_depth",
-            "gauge",
-            "Jobs currently queued.",
-            load(&self.queue_depth).to_string(),
-        );
-        plain(
-            "executor_busy",
-            "gauge",
-            "Executor shards currently mid-job.",
-            load(&self.executor_busy).to_string(),
-        );
-        plain(
-            "executor_shards",
-            "gauge",
-            "Executor shards configured.",
-            executor_shards.to_string(),
-        );
-        plain(
-            "open_connections",
-            "gauge",
-            "Connections currently open.",
-            self.open_connections().to_string(),
-        );
-        plain(
-            "pool_workers",
-            "gauge",
-            "Worker lanes in the shared pool.",
-            pool_workers.to_string(),
-        );
-        plain(
-            "pool_sync_events_total",
-            "counter",
-            "Synchronization events executed by the pool.",
-            pool_sync_events.to_string(),
-        );
-        plain(
-            "pool_regions_total",
-            "counter",
-            "Parallel regions executed by the pool.",
-            pool_regions.to_string(),
-        );
-        plain(
-            "obs_reports_total",
-            "counter",
-            "Span reports folded into the totals.",
-            load(&self.obs_reports_total).to_string(),
-        );
-        plain(
-            "obs_sync_events_total",
-            "counter",
-            "Sync events attributed by span reports.",
-            load(&self.obs_sync_events_total).to_string(),
-        );
-        plain(
-            "obs_seconds_total",
-            "counter",
-            "Solver wall seconds attributed by span reports.",
-            prom_f64(f64::from_bits(
-                self.obs_seconds_total_bits.load(Ordering::Relaxed),
-            )),
-        );
-        plain(
-            "tune_entries_stale",
-            "gauge",
-            "Tune entries the drift watchdog has flagged stale.",
-            load(&self.tune_entries_stale).to_string(),
-        );
-        plain(
-            "solves_rejected_memory_total",
-            "counter",
-            "Solves rejected by memory-budget admission control.",
-            load(&self.solves_rejected_memory_total).to_string(),
-        );
-        // Cache and zone counter families.
-        for (name, help, cell) in [
-            (
-                "cache_hits_total",
-                "Solves served from the result cache.",
-                &self.cache_hits_total,
-            ),
-            (
-                "cache_misses_total",
-                "Solves that missed the cache and executed.",
-                &self.cache_misses_total,
-            ),
-            (
-                "cache_coalesced_total",
-                "Solves coalesced onto in-flight executions.",
-                &self.cache_coalesced_total,
-            ),
-            (
-                "cache_bypass_total",
-                "Solves that bypassed the cache on request.",
-                &self.cache_bypass_total,
-            ),
-            (
-                "cache_evictions_total",
-                "Cache entries evicted.",
-                &self.cache_evictions_total,
-            ),
-            (
-                "zone_jobs_total",
-                "Zone-scheduled solves executed.",
-                &self.zone_jobs_total,
-            ),
-            (
-                "zone_tasks_total",
-                "Zone tasks stepped across zone-scheduled solves.",
-                &self.zone_tasks_total,
-            ),
-        ] {
-            plain(name, "counter", help, load(cell).to_string());
+        for (family, series) in FAMILIES.iter().zip(snap) {
+            let name = family.prom;
+            head(&mut out, name, family.kind, family.help);
+            for (label, value) in series {
+                let _ = match family.label {
+                    None => writeln!(out, "llpd_{name} {value}"),
+                    Some((key, _)) => writeln!(out, "llpd_{name}{{{key}=\"{label}\"}} {value}"),
+                };
+            }
         }
-        for (name, help, cell) in [
-            (
-                "cache_entries",
-                "Cache entries currently resident.",
-                &self.cache_entries,
-            ),
-            (
-                "zone_shards_last",
-                "Shards the most recent zone job dispatched over.",
-                &self.zone_shards_last,
-            ),
-            (
-                "zone_peak_ready_last",
-                "Peak ready-queue occupancy of the most recent zone job.",
-                &self.zone_peak_ready_last,
-            ),
-        ] {
-            plain(name, "gauge", help, load(cell).to_string());
+        for ((_, name, help), hist) in HISTOGRAMS.iter().zip([&self.latency, &self.queue_depths]) {
+            head(&mut out, name, "histogram", help);
+            for (le, cumulative) in hist.cumulative_buckets() {
+                let le = Value::Float(le);
+                let _ = writeln!(out, "llpd_{name}_bucket{{le=\"{le}\"}} {cumulative}");
+            }
+            let (sum, count) = (Value::Float(hist.sum()), hist.count());
+            let _ = writeln!(out, "llpd_{name}_sum {sum}\nllpd_{name}_count {count}");
         }
-        // Labeled families.
-        out.push_str(
-            "# HELP llpd_requests_by_endpoint_total Requests routed, by endpoint family.\n\
-             # TYPE llpd_requests_by_endpoint_total counter\n",
-        );
-        for (name, counter) in ENDPOINTS.iter().zip(&self.by_endpoint) {
-            out.push_str(&format!(
-                "llpd_requests_by_endpoint_total{{endpoint=\"{name}\"}} {}\n",
-                load(counter)
-            ));
-        }
-        out.push_str(
-            "# HELP llpd_responses_total Responses sent, by status code.\n\
-             # TYPE llpd_responses_total counter\n",
-        );
-        for (status, counter) in TRACKED_STATUSES.iter().zip(&self.by_status) {
-            out.push_str(&format!(
-                "llpd_responses_total{{status=\"{status}\"}} {}\n",
-                load(counter)
-            ));
-        }
-        out.push_str(
-            "# HELP llpd_solves_by_solver_total Executed solves, by solver kind.\n\
-             # TYPE llpd_solves_by_solver_total counter\n",
-        );
-        for (kind, counter) in SOLVERS.iter().zip(&self.solves_by_solver) {
-            out.push_str(&format!(
-                "llpd_solves_by_solver_total{{solver=\"{kind}\"}} {}\n",
-                load(counter)
-            ));
-        }
-        out.push_str(
-            "# HELP llpd_solves_by_vector_width_total Executed solves, by SLP lane width.\n\
-             # TYPE llpd_solves_by_vector_width_total counter\n",
-        );
-        for (width, counter) in SUPPORTED_WIDTHS.iter().zip(&self.solves_by_width) {
-            out.push_str(&format!(
-                "llpd_solves_by_vector_width_total{{vector_width=\"{width}\"}} {}\n",
-                load(counter)
-            ));
-        }
-        out.push_str(
-            "# HELP llpd_solves_by_schedule_total Executed solves, by requested schedule.\n\
-             # TYPE llpd_solves_by_schedule_total counter\n",
-        );
-        for (schedule, counter) in SCHEDULES.iter().zip(&self.solves_by_schedule) {
-            out.push_str(&format!(
-                "llpd_solves_by_schedule_total{{schedule=\"{schedule}\"}} {}\n",
-                load(counter)
-            ));
-        }
-        out.push_str(
-            "# HELP llpd_kernel_seconds_total Attributed wall seconds, by kernel.\n\
-             # TYPE llpd_kernel_seconds_total counter\n",
-        );
-        for (kernel, bits) in KERNELS.iter().zip(&self.kernel_seconds_bits) {
-            out.push_str(&format!(
-                "llpd_kernel_seconds_total{{kernel=\"{kernel}\"}} {}\n",
-                prom_f64(f64::from_bits(bits.load(Ordering::Relaxed)))
-            ));
-        }
-        // Histograms.
-        prom_histogram(
-            &mut out,
-            "request_latency_ms",
-            "End-to-end request latency in milliseconds.",
-            &self.latency,
-        );
-        prom_histogram(
-            &mut out,
-            "queue_depth_observed",
-            "Queue depth sampled at each admission attempt.",
-            &self.queue_depths,
-        );
         out
     }
-}
-
-/// Format an `f64` for the exposition format (finite shortest form;
-/// infinities as `+Inf`/`-Inf`).
-fn prom_f64(v: f64) -> String {
-    if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
-    }
-}
-
-/// Append one histogram family: cumulative `_bucket{le=...}` series
-/// (ending at `le="+Inf"`), `_sum`, and `_count`.
-fn prom_histogram(out: &mut String, name: &str, help: &str, hist: &Histogram) {
-    out.push_str(&format!(
-        "# HELP llpd_{name} {help}\n# TYPE llpd_{name} histogram\n"
-    ));
-    for (bound, cumulative) in hist.cumulative_buckets() {
-        out.push_str(&format!(
-            "llpd_{name}_bucket{{le=\"{}\"}} {cumulative}\n",
-            prom_f64(bound)
-        ));
-    }
-    out.push_str(&format!("llpd_{name}_sum {}\n", prom_f64(hist.sum())));
-    out.push_str(&format!("llpd_{name}_count {}\n", hist.count()));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn counters_land_in_the_snapshot() {
+    /// One fixed counter state reached through every recording method:
+    /// each endpoint, status, solver, width, schedule and kernel, names
+    /// that fold into a fallback slot, gauges moved both ways, and both
+    /// histograms.
+    fn pinned_state() -> Metrics {
         let m = Metrics::new();
-        m.request("solve");
-        m.request("solve");
-        m.request("model");
-        m.request("nonsense"); // folds into "other"
-        m.response(200);
-        m.response(429);
+        for endpoint in ENDPOINTS.iter().chain(&["solve", "nonsense"]) {
+            m.request(endpoint);
+        }
+        for status in TRACKED_STATUSES.iter().chain(&[429, 302]) {
+            m.response(*status);
+        }
         m.timeout();
+        m.set_queue_depth(3);
+        for ms in [0.7, 3.0, 40.0, 700.0, 20_000.0] {
+            m.observe_latency_ms(ms);
+        }
+        for depth in [0, 5, 100] {
+            m.observe_queue_depth(depth);
+        }
+        m.executor_started();
+        m.executor_started();
+        m.executor_finished();
+        m.executor_panicked();
         m.connection_opened();
+        m.connection_opened();
+        m.connection_closed();
+        m.job_executed();
         m.job_done(18, 0.25);
-        m.job_done(18, 0.25);
-        let j = m.to_json(4, 2, 36, 36);
-        assert_eq!(j.get("requests_total").unwrap().as_u64(), Some(4));
-        assert_eq!(j.get("rejected_total").unwrap().as_u64(), Some(1));
-        assert_eq!(j.get("timeouts_total").unwrap().as_u64(), Some(1));
-        assert_eq!(j.get("open_connections").unwrap().as_u64(), Some(1));
-        assert_eq!(j.get("jobs_total").unwrap().as_u64(), Some(2));
-        let endpoints = j.get("endpoints").unwrap();
-        assert_eq!(endpoints.get("solve").unwrap().as_u64(), Some(2));
-        assert_eq!(endpoints.get("model").unwrap().as_u64(), Some(1));
-        assert_eq!(endpoints.get("other").unwrap().as_u64(), Some(1));
-        let status = j.get("status").unwrap();
-        assert_eq!(status.get("200").unwrap().as_u64(), Some(1));
-        assert_eq!(status.get("429").unwrap().as_u64(), Some(1));
-        assert_eq!(j.get("pool_sync_events_total").unwrap().as_u64(), Some(36));
-        assert_eq!(j.get("obs_sync_events_total").unwrap().as_u64(), Some(36));
-        assert_eq!(j.get("obs_seconds_total").unwrap().as_f64(), Some(0.5));
-        assert_eq!(j.get("executor_shards").unwrap().as_u64(), Some(2));
-        assert_eq!(j.get("executor_panics_total").unwrap().as_u64(), Some(0));
-    }
-
-    #[test]
-    fn solve_width_counters_land_in_the_snapshot() {
-        let m = Metrics::new();
-        m.solve_width(1);
-        m.solve_width(4);
-        m.solve_width(4);
-        m.solve_width(999); // unknown widths fold into the scalar bucket
-        let j = m.to_json(1, 1, 0, 0);
-        let by_width = j.get("solves_by_vector_width").unwrap();
-        assert_eq!(by_width.get("1").unwrap().as_u64(), Some(2));
-        assert_eq!(by_width.get("2").unwrap().as_u64(), Some(0));
-        assert_eq!(by_width.get("4").unwrap().as_u64(), Some(2));
-        assert_eq!(by_width.get("8").unwrap().as_u64(), Some(0));
-    }
-
-    #[test]
-    fn solver_counters_land_in_the_snapshot() {
-        let m = Metrics::new();
-        m.solve_solver("f3d");
-        m.solve_solver("fdtd");
-        m.solve_solver("fdtd");
-        m.solve_solver("nonsense"); // folds into the first slot
+        m.job_done(6, 0.125);
+        m.zone_job(2, 12, 4);
+        m.zone_job(4, 16, 3);
+        for kind in SOLVERS.iter().chain(&["fdtd", "nonsense"]) {
+            m.solve_solver(kind);
+        }
         m.solve_rejected_memory();
-        let j = m.to_json(1, 1, 0, 0);
-        let by_solver = j.get("solves_by_solver").unwrap();
-        assert_eq!(by_solver.get("f3d").unwrap().as_u64(), Some(2));
-        assert_eq!(by_solver.get("fdtd").unwrap().as_u64(), Some(2));
-        assert_eq!(
-            j.get("solves_rejected_memory_total").unwrap().as_u64(),
-            Some(1)
-        );
-        let text = m.to_prometheus(1, 1, 0, 0);
-        assert!(text.contains("llpd_solves_by_solver_total{solver=\"f3d\"} 2\n"));
-        assert!(text.contains("llpd_solves_by_solver_total{solver=\"fdtd\"} 2\n"));
-        assert!(text.contains("llpd_solves_rejected_memory_total 1\n"));
-    }
-
-    #[test]
-    fn fdtd_kernels_have_their_own_seconds_buckets() {
-        let m = Metrics::new();
-        m.kernel_seconds("update_e", 0.25);
-        m.kernel_seconds("update_h", 0.5);
-        let kernels = m.to_json(1, 1, 0, 0).get("kernel_seconds").unwrap().clone();
-        assert_eq!(kernels.get("update_e").unwrap().as_f64(), Some(0.25));
-        assert_eq!(kernels.get("update_h").unwrap().as_f64(), Some(0.5));
-        assert_eq!(kernels.get("other").unwrap().as_f64(), Some(0.0));
-    }
-
-    #[test]
-    fn cache_counters_land_in_the_snapshot() {
-        let m = Metrics::new();
+        for width in SUPPORTED_WIDTHS.iter().chain(&[4, 999]) {
+            m.solve_width(*width);
+        }
+        for schedule in SCHEDULES.iter().chain(&["dynamic", "weird"]) {
+            m.solve_schedule(schedule);
+        }
+        let kernels = "j_factor k_factor l_factor_scatter l_factor_solve rhs update";
+        let kernels = kernels
+            .split(' ')
+            .chain(["update_e", "update_h", "bc", "no_such_kernel"]);
+        for (i, kernel) in kernels.enumerate() {
+            m.kernel_seconds(kernel, 0.125 * (i + 1) as f64);
+        }
+        m.set_tune_entries_stale(3);
         m.cache_miss();
         m.cache_hit();
         m.cache_hit();
         m.cache_coalesced();
         m.cache_bypass();
         m.cache_evicted(1, 7);
-        assert_eq!(m.cache_hits(), 2);
-        let cache = m.to_json(1, 1, 0, 0).get("cache").unwrap().clone();
-        assert_eq!(cache.get("hits").unwrap().as_u64(), Some(2));
-        assert_eq!(cache.get("misses").unwrap().as_u64(), Some(1));
-        assert_eq!(cache.get("coalesced").unwrap().as_u64(), Some(1));
-        assert_eq!(cache.get("bypass").unwrap().as_u64(), Some(1));
-        assert_eq!(cache.get("evictions").unwrap().as_u64(), Some(1));
-        assert_eq!(cache.get("entries").unwrap().as_u64(), Some(7));
+        m.cache_evicted(2, 5);
+        m
     }
 
     #[test]
-    fn zone_counters_land_in_the_snapshot() {
-        let m = Metrics::new();
-        let zones = m.to_json(1, 1, 0, 0).get("zones").unwrap().clone();
-        assert_eq!(zones.get("jobs").unwrap().as_u64(), Some(0));
-        m.zone_job(2, 12, 4);
-        m.zone_job(4, 16, 4);
-        let zones = m.to_json(1, 1, 0, 0).get("zones").unwrap().clone();
-        assert_eq!(zones.get("jobs").unwrap().as_u64(), Some(2));
-        assert_eq!(zones.get("tasks").unwrap().as_u64(), Some(28));
-        assert_eq!(zones.get("shards_last").unwrap().as_u64(), Some(4));
-        assert_eq!(zones.get("peak_ready_last").unwrap().as_u64(), Some(4));
-    }
-
-    #[test]
-    fn gauges_move_both_ways() {
-        let m = Metrics::new();
-        m.set_queue_depth(3);
-        m.executor_started();
-        m.executor_started();
-        m.connection_opened();
-        m.connection_opened();
-        m.connection_closed();
-        let j = m.to_json(1, 1, 0, 0);
-        assert_eq!(j.get("queue_depth").unwrap().as_u64(), Some(3));
-        assert_eq!(j.get("executor_busy").unwrap().as_u64(), Some(2));
-        assert_eq!(m.executors_busy(), 2);
-        assert_eq!(j.get("open_connections").unwrap().as_u64(), Some(1));
-        m.set_queue_depth(0);
-        m.executor_finished();
-        m.executor_finished();
-        m.executor_panicked();
-        let j = m.to_json(1, 1, 0, 0);
-        assert_eq!(j.get("queue_depth").unwrap().as_u64(), Some(0));
-        assert_eq!(j.get("executor_busy").unwrap().as_u64(), Some(0));
-        assert_eq!(j.get("executor_panics_total").unwrap().as_u64(), Some(1));
-    }
-
-    #[test]
-    fn schedule_kernel_and_stale_counters_land_in_the_snapshot() {
-        let m = Metrics::new();
-        m.solve_schedule("dynamic");
-        m.solve_schedule("auto");
-        m.solve_schedule("weird"); // folds into static
-        m.kernel_seconds("rhs", 0.25);
-        m.kernel_seconds("rhs", 0.25);
-        m.kernel_seconds("no_such_kernel", 0.125);
-        m.set_tune_entries_stale(3);
-        let j = m.to_json(1, 1, 0, 0);
-        let sched = j.get("solves_by_schedule").unwrap();
-        assert_eq!(sched.get("dynamic").unwrap().as_u64(), Some(1));
-        assert_eq!(sched.get("auto").unwrap().as_u64(), Some(1));
-        assert_eq!(sched.get("static").unwrap().as_u64(), Some(1));
-        let kernels = j.get("kernel_seconds").unwrap();
-        assert_eq!(kernels.get("rhs").unwrap().as_f64(), Some(0.5));
-        assert_eq!(kernels.get("other").unwrap().as_f64(), Some(0.125));
-        assert_eq!(j.get("tune_entries_stale").unwrap().as_u64(), Some(3));
-    }
-
-    #[test]
-    fn prometheus_rendering_is_typed_labeled_and_cumulative() {
-        let m = Metrics::new();
-        m.request("solve");
-        m.request("metrics");
-        m.response(200);
-        m.response(429);
-        m.solve_width(4);
-        m.solve_schedule("auto");
-        m.kernel_seconds("rhs", 0.5);
-        m.set_tune_entries_stale(1);
-        m.observe_latency_ms(3.0);
-        m.observe_latency_ms(700.0);
+    fn pinned_state_renders_the_pinned_wire_format() {
+        let m = pinned_state();
+        let json = m.to_json(4, 2, 36, 18).to_string();
+        let pinned = include_str!("../tests/data/metrics_pin.json");
+        assert_eq!(json, pinned.trim_end());
         let text = m.to_prometheus(4, 2, 36, 18);
-        // Typed families.
-        assert!(text.contains("# TYPE llpd_requests_total counter\n"));
-        assert!(text.contains("# TYPE llpd_queue_depth gauge\n"));
-        assert!(text.contains("# TYPE llpd_request_latency_ms histogram\n"));
-        assert!(text.contains("# TYPE llpd_tune_entries_stale gauge\n"));
-        // Values and labels.
-        assert!(text.contains("\nllpd_requests_total 2\n"), "{text}");
-        assert!(text.contains("llpd_requests_by_endpoint_total{endpoint=\"solve\"} 1\n"));
-        assert!(text.contains("llpd_responses_total{status=\"429\"} 1\n"));
-        assert!(text.contains("llpd_solves_by_vector_width_total{vector_width=\"4\"} 1\n"));
-        assert!(text.contains("llpd_solves_by_schedule_total{schedule=\"auto\"} 1\n"));
-        assert!(text.contains("llpd_kernel_seconds_total{kernel=\"rhs\"} 0.5\n"));
-        assert!(text.contains("llpd_tune_entries_stale 1\n"));
-        assert!(text.contains("llpd_pool_workers 4\n"));
-        assert!(text.contains("llpd_pool_sync_events_total 36\n"));
-        // Histogram: cumulative buckets end at +Inf and match count.
-        assert!(text.contains("llpd_request_latency_ms_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("llpd_request_latency_ms_count 2\n"));
-        assert!(text.contains("llpd_request_latency_ms_sum 703\n"));
-        let mut last = 0u64;
-        let mut buckets = 0;
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("llpd_request_latency_ms_bucket{le=\"") {
-                let count: u64 = rest.split("} ").nth(1).unwrap().parse().unwrap();
-                assert!(count >= last, "buckets must be cumulative: {line}");
-                last = count;
-                buckets += 1;
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines.sort_unstable();
+        let pinned = include_str!("../tests/data/metrics_pin.prom");
+        assert_eq!(lines, pinned.lines().collect::<Vec<_>>());
+        assert_eq!(m.rejected_total(), 2);
+        assert_eq!(m.executors_busy(), 1);
+    }
+
+    fn leaves(json: &Json) -> usize {
+        match json {
+            Json::Object(members) => members.iter().map(|(_, v)| leaves(v)).sum(),
+            Json::Array(items) => items.iter().map(leaves).sum(),
+            _ => 1,
+        }
+    }
+
+    /// Each family's `# HELP`/`# TYPE` sits directly before its
+    /// samples, buckets ascend in `le`, and every JSON leaf has a
+    /// sample with the same value (bucket `le`s are labels, and the
+    /// p50/p99 estimates have no sample).
+    #[test]
+    fn every_json_leaf_has_a_prometheus_sample_with_the_same_value() {
+        let m = pinned_state();
+        let text = m.to_prometheus(4, 2, 36, 18);
+        let mut lines = text.lines().peekable();
+        let mut samples = Vec::new();
+        while let Some(help) = lines.next() {
+            let (name, _) = help["# HELP ".len()..].split_once(' ').unwrap();
+            let typed = lines
+                .next()
+                .unwrap()
+                .strip_prefix(&format!("# TYPE {name} "));
+            assert!(matches!(typed, Some("counter" | "gauge" | "histogram")));
+            let mut last_le = f64::NEG_INFINITY;
+            while let Some(sample) = lines.next_if(|l| !l.starts_with('#')) {
+                assert!(sample.starts_with(name), "{sample} outside {name}");
+                if let Some(le) = sample.strip_prefix(&format!("{name}_bucket{{le=\"")) {
+                    let le: f64 = le.split('"').next().unwrap().parse().unwrap();
+                    assert!(le > last_le, "{sample}");
+                    last_le = le;
+                }
+                samples.push(sample);
             }
         }
-        assert!(buckets > 2, "expected a bucket ladder");
-        // Every non-comment line is `name{labels} value` or `name value`.
-        for line in text.lines() {
-            if line.starts_with('#') {
-                continue;
+        let json = m.to_json(4, 2, 36, 18);
+        let mut pairs = Vec::new();
+        for family in &FAMILIES {
+            let node = family.json.split('.').fold(&json, |j, k| j.get(k).unwrap());
+            let name = format!("llpd_{}", family.prom);
+            match family.label {
+                None => pairs.push((name, node)),
+                Some((label, _)) => pairs.extend(
+                    node.as_object()
+                        .unwrap()
+                        .iter()
+                        .map(|(value, leaf)| (format!("{name}{{{label}=\"{value}\"}}"), leaf)),
+                ),
             }
-            let (name, value) = line.rsplit_once(' ').unwrap();
-            assert!(name.starts_with("llpd_"), "{line}");
-            assert!(
-                value.parse::<f64>().is_ok() || value == "+Inf",
-                "unparseable value in {line}"
-            );
+        }
+        let mut unsampled = 0;
+        for (key, name, _) in HISTOGRAMS {
+            let hist = json.get(key).unwrap();
+            for bucket in hist.get("buckets").and_then(Json::as_array).unwrap() {
+                let le = bucket.get("le").unwrap();
+                let le = le.as_str().map_or_else(|| le.to_string(), str::to_string);
+                pairs.push((
+                    format!("llpd_{name}_bucket{{le=\"{le}\"}}"),
+                    bucket.get("count").unwrap(),
+                ));
+                unsampled += 1;
+            }
+            pairs.push((format!("llpd_{name}_sum"), hist.get("sum").unwrap()));
+            pairs.push((format!("llpd_{name}_count"), hist.get("count").unwrap()));
+            unsampled += 2;
+        }
+        assert_eq!(pairs.len() + unsampled, leaves(&json));
+        assert_eq!(pairs.len(), samples.len());
+        for (series, leaf) in pairs {
+            let sample = format!("{series} {leaf}");
+            assert!(samples.contains(&sample.as_str()), "{sample}");
         }
     }
 
     #[test]
-    fn histograms_land_in_the_snapshot() {
+    fn every_registered_solver_kernel_has_its_own_series() {
         let m = Metrics::new();
-        m.observe_latency_ms(0.7);
-        m.observe_latency_ms(3.0);
-        m.observe_latency_ms(40.0);
-        m.observe_queue_depth(0);
-        m.observe_queue_depth(5);
-        let j = m.to_json(1, 1, 0, 0);
-        let lat = j.get("latency_ms").unwrap();
-        assert_eq!(lat.get("count").and_then(Json::as_u64), Some(3));
-        assert!(lat.get("p50").unwrap().as_f64().unwrap() <= 5.0);
-        assert!(lat.get("p99").unwrap().as_f64().unwrap() >= 40.0);
-        let q = j.get("queue_depths").unwrap();
-        assert_eq!(q.get("count").and_then(Json::as_u64), Some(2));
-        assert_eq!(m.latency_quantile_ms(0.5), Some(5.0));
-        // Cumulative buckets end at +Inf.
-        let buckets = lat.get("buckets").and_then(Json::as_array).unwrap();
-        assert_eq!(
-            buckets.last().unwrap().get("le").and_then(Json::as_str),
-            Some("+Inf")
-        );
+        let names: Vec<_> = SOLVERS
+            .iter()
+            .flat_map(|&k| solvers::kernel_names(k))
+            .collect();
+        assert!(names.contains(&&"rhs") && names.contains(&&"update_e"));
+        names.iter().for_each(|k| m.kernel_seconds(k, 0.5));
+        m.kernel_seconds("bc", 0.25);
+        m.kernel_seconds("no_such_kernel", 0.125);
+        let text = m.to_prometheus(1, 1, 0, 0);
+        for kernel in &names {
+            let series = format!("llpd_kernel_seconds_total{{kernel=\"{kernel}\"}} 0.5\n");
+            assert!(text.contains(&series), "{kernel}");
+        }
+        assert!(text.contains("llpd_kernel_seconds_total{kernel=\"other\"} 0.375\n"));
+        let series = text.matches("llpd_kernel_seconds_total{").count();
+        assert_eq!(series, names.len() + 1);
     }
 }

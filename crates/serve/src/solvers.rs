@@ -18,6 +18,16 @@ use solver::{Solver, SolverSpec};
 /// field is omitted).
 pub const KINDS: [&str; 2] = [f3d_kind(), fdtd_kind()];
 
+/// The parallel-kernel vocabulary of solver `kind` (see
+/// [`Solver::kernel_names`]); empty for a kind outside [`KINDS`].
+pub fn kernel_names(kind: &str) -> &'static [&'static str] {
+    match kind {
+        k if k == F3dSolver::kind() => F3dSolver::kernel_names(),
+        k if k == FdtdSolver::kind() => FdtdSolver::kernel_names(),
+        _ => &[],
+    }
+}
+
 const fn f3d_kind() -> &'static str {
     "f3d"
 }
@@ -208,6 +218,10 @@ mod tests {
         );
         assert_eq!(d.label(), "fdtd/n16s4w2");
         assert_eq!(d.vector_width(), 1);
+
+        assert_eq!(kernel_names("f3d"), F3dSolver::kernel_names());
+        assert_eq!(kernel_names("fdtd"), FdtdSolver::kernel_names());
+        assert!(kernel_names("nonsense").is_empty());
     }
 
     #[test]

@@ -8,6 +8,7 @@ use f3d::solver::SolverConfig;
 use llp::{Advisor, LoopDecision, LoopProfiler, StaticSchedule, Workers};
 use mesh::{Axis, Dims, Layout, Metrics};
 use perfmodel::overhead::OverheadBound;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
 fn llp_schedule_matches_perfmodel_everywhere() {
@@ -128,23 +129,29 @@ fn sync_events_measured_equal_trace_prediction() {
 
 #[test]
 fn fusion_reduces_sync_events_in_practice() {
+    // Paper Example 2 as the stepper runs it: four loop bodies fused
+    // inside one doacross closure bill one sync event; the same four
+    // bodies as separate doacross loops bill four.
     let workers = Workers::new(3);
+    let cells: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
+    let cells = &cells;
+    let bodies = [1, 2, 3, 4].map(|k| {
+        move |i: usize| {
+            cells[i].fetch_add(k, Ordering::Relaxed);
+        }
+    });
     workers.reset_counters();
-    llp::FusedRegion::over(50)
-        .then(|_| {})
-        .then(|_| {})
-        .then(|_| {})
-        .then(|_| {})
-        .run(&workers);
+    llp::doacross(&workers, cells.len(), |i| {
+        bodies.iter().for_each(|body| body(i))
+    });
     assert_eq!(workers.sync_event_count(), 1);
     workers.reset_counters();
-    llp::FusedRegion::over(50)
-        .then(|_| {})
-        .then(|_| {})
-        .then(|_| {})
-        .then(|_| {})
-        .run_unfused(&workers);
+    for body in &bodies {
+        llp::doacross(&workers, cells.len(), body);
+    }
     assert_eq!(workers.sync_event_count(), 4);
+    // Both runs executed every body at every index: 2 × (1 + 2 + 3 + 4).
+    assert!(cells.iter().all(|c| c.load(Ordering::Relaxed) == 20));
 }
 
 #[test]
