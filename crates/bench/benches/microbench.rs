@@ -13,9 +13,9 @@
 //! subset (e.g. `cargo bench -p bench -- obs`).
 
 use f3d::bc::ZoneBcs;
-use f3d::blocktri::{identity, scale, solve_block_tridiagonal, BlockTriScratch};
+use f3d::blocktri::{solve_block_tridiagonal, BlockTriScratch};
 use f3d::risc_impl::RiscStepper;
-use f3d::solver::SolverConfig;
+use f3d::solver::{implicit_central_pencil_w, PencilScratch, SolverConfig};
 use f3d::vector_impl::VectorStepper;
 use llp::{doacross, Workers};
 use mesh::{Dims, Metrics};
@@ -75,14 +75,38 @@ fn bench_f3d_serial(filter: &str) {
 }
 
 fn bench_blocktri(filter: &str) {
+    // Real central-factor systems, not scaled identities: the rows of
+    // `implicit_central_pencil_w` over a perturbed supersonic freestream
+    // line, so the blocks are dense flux Jacobians, as in the stepper's
+    // K and L sweeps, and the timing sees the LU's real arithmetic.
+    let config = SolverConfig::supersonic();
+    let h = 0.25;
     for n in [16usize, 64, 256] {
-        let lower = vec![scale(&identity(), -0.3); n];
-        let diag = vec![scale(&identity(), 2.0); n];
-        let upper = vec![scale(&identity(), -0.3); n];
+        let mut pencil = PencilScratch::new(n);
+        for i in 0..n {
+            let x = i as f64 / n as f64;
+            let mut q = config.flow.conserved();
+            for (c, v) in q.iter_mut().enumerate() {
+                *v *= 1.0 + 0.05 * (std::f64::consts::TAU * x + c as f64).sin();
+            }
+            pencil.q_line[i] = q;
+            pencil.n_line[i] = [1.0 / h, 0.1 * (3.0 * x).cos() / h, 0.0];
+            pencil.dt_line[i] = config.dt;
+        }
+        implicit_central_pencil_w(&mut pencil, n, config.eps_imp, 0.0, 1);
+        let rhs0: Vec<_> = (0..n)
+            .map(|i| [1.0, -0.5, 0.25, 0.0, 2.0].map(|v: f64| v + (i as f64).sin()))
+            .collect();
         let mut scratch = BlockTriScratch::new(n);
         bench(filter, &format!("block_tridiagonal/{n}"), || {
-            let mut rhs = vec![[1.0f64; 5]; n];
-            solve_block_tridiagonal(&lower, &diag, &upper, &mut rhs, &mut scratch);
+            let mut rhs = rhs0.clone();
+            solve_block_tridiagonal(
+                &pencil.lower,
+                &pencil.diag,
+                &pencil.upper,
+                &mut rhs,
+                &mut scratch,
+            );
             black_box(rhs[n / 2][0]);
         });
     }

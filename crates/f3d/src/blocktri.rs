@@ -152,84 +152,147 @@ pub struct Lu {
     perm: [usize; NCONS],
 }
 
+// `Lu` unrolls a 5×5 block by hand: one `eliminate` step per column and
+// one `forward_row` / `back_row` step per row.
+const _: () = assert!(NCONS == 5);
+
 impl Lu {
     /// Factor `a`. Returns `None` if the block is numerically singular.
+    ///
+    /// Each column is one elimination step with a compile-time column
+    /// index, so every inner range is a constant the compiler unrolls.
     #[must_use]
-    #[allow(clippy::needless_range_loop)] // pivot swaps index two rows at once
     pub fn factor(a: &Block) -> Option<Self> {
-        let mut lu = *a;
-        let mut perm = [0usize; NCONS];
-        for (i, p) in perm.iter_mut().enumerate() {
-            *p = i;
-        }
-        for col in 0..NCONS {
-            // partial pivot
-            let mut pivot_row = col;
-            let mut pivot_val = lu[col][col].abs();
-            for r in col + 1..NCONS {
-                if lu[r][col].abs() > pivot_val {
-                    pivot_val = lu[r][col].abs();
-                    pivot_row = r;
-                }
-            }
-            if pivot_val < 1e-300 {
-                return None;
-            }
-            if pivot_row != col {
-                lu.swap(pivot_row, col);
-                perm.swap(pivot_row, col);
-            }
-            let inv = 1.0 / lu[col][col];
-            for r in col + 1..NCONS {
-                let f = lu[r][col] * inv;
-                lu[r][col] = f;
-                for c in col + 1..NCONS {
-                    lu[r][c] -= f * lu[col][c];
-                }
+        let mut lu = Self {
+            lu: *a,
+            perm: [0, 1, 2, 3, 4],
+        };
+        lu.eliminate::<0>()?;
+        lu.eliminate::<1>()?;
+        lu.eliminate::<2>()?;
+        lu.eliminate::<3>()?;
+        lu.eliminate::<4>()?;
+        Some(lu)
+    }
+
+    /// Eliminate below the diagonal in column `COL`: pick the first row
+    /// at or below `COL` with the strictly largest `|·|` as the pivot,
+    /// reject it under `1e-300`, swap it up, then store each row's
+    /// multiplier `f = a[r][COL] * (1 / pivot)` and subtract `f` times
+    /// the pivot row.
+    #[allow(clippy::needless_range_loop)] // rows `r` and `COL` are read together
+    fn eliminate<const COL: usize>(&mut self) -> Option<()> {
+        let lu = &mut self.lu;
+        let mut pivot_row = COL;
+        let mut pivot_val = lu[COL][COL].abs();
+        for r in COL + 1..NCONS {
+            if lu[r][COL].abs() > pivot_val {
+                pivot_val = lu[r][COL].abs();
+                pivot_row = r;
             }
         }
-        Some(Self { lu, perm })
+        if pivot_val < 1e-300 {
+            return None;
+        }
+        if pivot_row != COL {
+            lu.swap(pivot_row, COL);
+            self.perm.swap(pivot_row, COL);
+        }
+        let inv = 1.0 / lu[COL][COL];
+        for r in COL + 1..NCONS {
+            let f = lu[r][COL] * inv;
+            lu[r][COL] = f;
+            for c in COL + 1..NCONS {
+                lu[r][c] -= f * lu[COL][c];
+            }
+        }
+        Some(())
+    }
+
+    /// The factors and the row permutation: `lu` holds the unit-lower
+    /// multipliers below the diagonal and `U` on and above it, and row
+    /// `i` of `lu` came from row `perm[i]` of the factored block.
+    #[must_use]
+    pub fn parts(&self) -> (&Block, &[usize; NCONS]) {
+        (&self.lu, &self.perm)
+    }
+
+    /// Forward and back substitution on `M` right-hand-side columns at
+    /// once, rows already permuted. The column `c` is the innermost
+    /// fixed-trip loop, so the `M` independent solves advance in
+    /// lockstep while each element sees exactly the operations of a
+    /// one-column solve, in the same order. Each row is its own
+    /// const-generic step, as in [`Lu::factor`], so no inner range
+    /// depends on a loop variable.
+    fn substitute<const M: usize>(&self, y: &mut [[f64; M]; NCONS]) {
+        self.forward_row::<1, M>(y);
+        self.forward_row::<2, M>(y);
+        self.forward_row::<3, M>(y);
+        self.forward_row::<4, M>(y);
+        self.back_row::<4, M>(y);
+        self.back_row::<3, M>(y);
+        self.back_row::<2, M>(y);
+        self.back_row::<1, M>(y);
+        self.back_row::<0, M>(y);
+    }
+
+    /// Row `I` of the unit-lower forward substitution.
+    #[allow(clippy::needless_range_loop)] // rows `I` and `j` are read together
+    fn forward_row<const I: usize, const M: usize>(&self, y: &mut [[f64; M]; NCONS]) {
+        for j in 0..I {
+            let l = self.lu[I][j];
+            for c in 0..M {
+                y[I][c] -= l * y[j][c];
+            }
+        }
+    }
+
+    /// Row `I` of the back substitution.
+    #[allow(clippy::needless_range_loop)] // rows `I` and `j` are read together
+    fn back_row<const I: usize, const M: usize>(&self, y: &mut [[f64; M]; NCONS]) {
+        for j in I + 1..NCONS {
+            let u = self.lu[I][j];
+            for c in 0..M {
+                y[I][c] -= u * y[j][c];
+            }
+        }
+        let d = self.lu[I][I];
+        for c in 0..M {
+            y[I][c] /= d;
+        }
     }
 
     /// Solve `A x = b`.
     #[must_use]
     pub fn solve(&self, b: &Vec5) -> Vec5 {
-        // apply permutation
-        let mut y = [0.0; NCONS];
-        for (i, yi) in y.iter_mut().enumerate() {
-            *yi = b[self.perm[i]];
-        }
-        // forward substitution (unit lower)
-        for i in 1..NCONS {
-            for j in 0..i {
-                y[i] -= self.lu[i][j] * y[j];
-            }
-        }
-        // back substitution
-        for i in (0..NCONS).rev() {
-            for j in i + 1..NCONS {
-                y[i] -= self.lu[i][j] * y[j];
-            }
-            y[i] /= self.lu[i][i];
-        }
+        let mut y = self.perm.map(|p| [b[p]]);
+        self.substitute(&mut y);
+        y.map(|[v]| v)
+    }
+
+    /// Solve `A X = B` for a block right-hand side: all five columns in
+    /// one substitution pass, each bit-identical to [`Lu::solve`] of
+    /// that column.
+    #[must_use]
+    pub fn solve_block(&self, b: &Block) -> Block {
+        let mut y = self.perm.map(|p| b[p]);
+        self.substitute(&mut y);
         y
     }
 
-    /// Solve `A X = B` for a block right-hand side.
+    /// [`Lu::solve_block`] of `b` and [`Lu::solve`] of `v` as one
+    /// six-column substitution pass, bit-identical to the two calls.
     #[must_use]
-    pub fn solve_block(&self, b: &Block) -> Block {
-        let mut out = [[0.0; NCONS]; NCONS];
-        for col in 0..NCONS {
-            let mut rhs = [0.0; NCONS];
-            for (r, v) in rhs.iter_mut().enumerate() {
-                *v = b[r][col];
-            }
-            let x = self.solve(&rhs);
-            for (r, &v) in x.iter().enumerate() {
-                out[r][col] = v;
-            }
-        }
-        out
+    pub fn solve_block_vec(&self, b: &Block, v: &Vec5) -> (Block, Vec5) {
+        let mut y = self.perm.map(|p| {
+            let [b0, b1, b2, b3, b4] = b[p];
+            [b0, b1, b2, b3, b4, v[p]]
+        });
+        self.substitute(&mut y);
+        (
+            y.map(|[x0, x1, x2, x3, x4, _]| [x0, x1, x2, x3, x4]),
+            y.map(|row| row[NCONS]),
+        )
     }
 }
 
@@ -290,10 +353,11 @@ pub fn solve_block_tridiagonal(
 
 /// [`solve_block_tridiagonal`] with the off-diagonal block products
 /// ([`matmul_w`] / [`matvec_w`]) running at the given lane width. The
-/// Thomas recurrence itself and the LU factor/solve stay scalar — they
-/// are serial along the pencil and within the block by construction —
-/// so every width produces bit-identical solutions (the block products
-/// are exact at every width; see their docs).
+/// Thomas recurrence is serial along the pencil by construction; within
+/// each step the LU solves run their right-hand-side columns in
+/// lockstep ([`Lu::solve_block_vec`]), which is exact at every width.
+/// So every width produces bit-identical solutions (the block products
+/// are exact at every width too; see their docs).
 ///
 /// # Panics
 /// As [`solve_block_tridiagonal`].
@@ -312,24 +376,27 @@ pub fn solve_block_tridiagonal_w(
     assert_eq!(rhs.len(), n, "rhs length mismatch");
     assert!(scratch.capacity() >= n, "scratch too small");
 
-    // Forward elimination.
-    let lu0 = Lu::factor(&diag[0]).expect("singular pivot block at 0");
-    scratch.cp[0] = lu0.solve_block(&upper[0]);
-    scratch.dp[0] = lu0.solve(&rhs[0]);
-    for i in 1..n {
-        // pivot = diag[i] - lower[i] * cp[i-1]
-        let pivot = sub(&diag[i], &matmul_w(&lower[i], &scratch.cp[i - 1], width));
+    // Forward elimination: c'[i] = inv(pivot) upper[i] and
+    // d'[i] = inv(pivot) (rhs[i] - lower[i] d'[i-1]), with
+    // pivot = diag[i] - lower[i] c'[i-1] (diag[0] and rhs[0] at i = 0).
+    for i in 0..n {
+        let (pivot, r) = if i == 0 {
+            (diag[0], rhs[0])
+        } else {
+            let ld = matvec_w(&lower[i], &scratch.dp[i - 1], width);
+            let mut r = rhs[i];
+            for (rv, &lv) in r.iter_mut().zip(ld.iter()) {
+                *rv -= lv;
+            }
+            let pivot = sub(&diag[i], &matmul_w(&lower[i], &scratch.cp[i - 1], width));
+            (pivot, r)
+        };
         let lu = Lu::factor(&pivot).unwrap_or_else(|| panic!("singular pivot block at {i}"));
         if i + 1 < n {
-            scratch.cp[i] = lu.solve_block(&upper[i]);
+            (scratch.cp[i], scratch.dp[i]) = lu.solve_block_vec(&upper[i], &r);
+        } else {
+            scratch.dp[i] = lu.solve(&r);
         }
-        // d'[i] = inv(pivot) (rhs[i] - lower[i] d'[i-1])
-        let ld = matvec_w(&lower[i], &scratch.dp[i - 1], width);
-        let mut r = rhs[i];
-        for (rv, &lv) in r.iter_mut().zip(ld.iter()) {
-            *rv -= lv;
-        }
-        scratch.dp[i] = lu.solve(&r);
     }
 
     // Back substitution.

@@ -690,18 +690,6 @@ fn residual_rhs_points<const W: usize>(zone: &ZoneSolver, first: Ijk, eps2: f64,
     }
 }
 
-/// L∞ norm of a residual field stored as a `StateField`.
-#[must_use]
-pub fn residual_norm(r: &StateField) -> f64 {
-    let mut m = 0.0f64;
-    for p in r.dims().iter_jkl() {
-        for v in r.get(p) {
-            m = m.max(v.abs());
-        }
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,7 @@
 //! single ULP of drift, or a zero of the wrong sign, is a failure.
 
 use f3d::blocktri::{
-    self, matmul_w, matvec_w, solve_block_tridiagonal_w, Block, BlockTriScratch, Vec5,
+    self, matmul_w, matvec_w, solve_block_tridiagonal_w, Block, BlockTriScratch, Lu, Vec5,
 };
 use f3d::flux;
 use f3d::solver::{
@@ -47,7 +47,7 @@ const MAX_PENCIL: usize = 13;
 
 /// The scalar kernels, one point at a time: the bit-exact reference.
 mod oracle {
-    use f3d::blocktri::{self, sub, Block, Lu, Vec5};
+    use f3d::blocktri::{self, sub, Block, Vec5};
     use f3d::flux::eigenvalues;
     use f3d::solver::{viscous_flux_midpoint, PencilScratch, ZoneSolver};
     use f3d::state::{Primitive, GAMMA};
@@ -175,6 +175,88 @@ mod oracle {
             *yi = row.iter().zip(x.iter()).map(|(m, v)| m * v).sum();
         }
         y
+    }
+
+    /// A 5×5 LU with partial pivoting, eliminated over run-time column
+    /// ranges and solved one right-hand-side column at a time: the
+    /// reference the kernel's `Lu` must match bit for bit.
+    pub struct Lu {
+        pub lu: Block,
+        pub perm: [usize; NCONS],
+    }
+
+    impl Lu {
+        /// Factor `a`; `None` if a pivot falls under `1e-300`.
+        #[allow(clippy::needless_range_loop)] // pivot swaps index two rows at once
+        pub fn factor(a: &Block) -> Option<Self> {
+            let mut lu = *a;
+            let mut perm = [0usize; NCONS];
+            for (i, p) in perm.iter_mut().enumerate() {
+                *p = i;
+            }
+            for col in 0..NCONS {
+                let mut pivot_row = col;
+                let mut pivot_val = lu[col][col].abs();
+                for r in col + 1..NCONS {
+                    if lu[r][col].abs() > pivot_val {
+                        pivot_val = lu[r][col].abs();
+                        pivot_row = r;
+                    }
+                }
+                if pivot_val < 1e-300 {
+                    return None;
+                }
+                if pivot_row != col {
+                    lu.swap(pivot_row, col);
+                    perm.swap(pivot_row, col);
+                }
+                let inv = 1.0 / lu[col][col];
+                for r in col + 1..NCONS {
+                    let f = lu[r][col] * inv;
+                    lu[r][col] = f;
+                    for c in col + 1..NCONS {
+                        lu[r][c] -= f * lu[col][c];
+                    }
+                }
+            }
+            Some(Self { lu, perm })
+        }
+
+        /// Solve `A x = b`.
+        pub fn solve(&self, b: &Vec5) -> Vec5 {
+            let mut y = [0.0; NCONS];
+            for (i, yi) in y.iter_mut().enumerate() {
+                *yi = b[self.perm[i]];
+            }
+            for i in 1..NCONS {
+                for j in 0..i {
+                    y[i] -= self.lu[i][j] * y[j];
+                }
+            }
+            for i in (0..NCONS).rev() {
+                for j in i + 1..NCONS {
+                    y[i] -= self.lu[i][j] * y[j];
+                }
+                y[i] /= self.lu[i][i];
+            }
+            y
+        }
+
+        /// Solve `A X = B`, one [`Lu::solve`] per column.
+        pub fn solve_block(&self, b: &Block) -> Block {
+            let mut out = [[0.0; NCONS]; NCONS];
+            for col in 0..NCONS {
+                let mut rhs = [0.0; NCONS];
+                for (r, v) in rhs.iter_mut().enumerate() {
+                    *v = b[r][col];
+                }
+                let x = self.solve(&rhs);
+                for (r, &v) in x.iter().enumerate() {
+                    out[r][col] = v;
+                }
+            }
+            out
+        }
     }
 
     /// The Thomas algorithm over the scalar block products.
@@ -455,6 +537,74 @@ fn off_diag() -> impl Strategy<Value = Block> {
     block().prop_map(|b| blocktri::scale(&b, 0.05))
 }
 
+/// A permutation of the five block rows, never the identity: applied
+/// to a diagonally dominant block it moves every dominant entry off
+/// the diagonal, so the LU must swap rows to pivot.
+fn row_permutation() -> impl Strategy<Value = [usize; NCONS]> {
+    (1usize..120).prop_map(|mut code| {
+        let mut left: Vec<usize> = (0..NCONS).collect();
+        let mut perm = [0; NCONS];
+        for p in &mut perm {
+            let base = left.len();
+            *p = left.remove(code % base);
+            code /= base;
+        }
+        perm
+    })
+}
+
+/// Signed zeros and subnormals: entries whose sign or gradual underflow
+/// a reordered or fused operation would change.
+fn special_entry() -> impl Strategy<Value = f64> {
+    const SPECIALS: [f64; 6] = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 2.0,
+        -f64::MIN_POSITIVE / 3.0,
+        5e-324,
+        -5e-324,
+    ];
+    (0..SPECIALS.len()).prop_map(|k| SPECIALS[k])
+}
+
+/// The crate's `Lu` against [`oracle::Lu`] on one block: the same
+/// singular verdict and, when it factors, the same factors and
+/// permutation, and the same vector, block and fused six-column solves,
+/// all compared by `f64::to_bits`.
+fn lu_matches_oracle(a: &Block, b: &Block, v: &Vec5) -> Result<(), TestCaseError> {
+    let (got, want) = (Lu::factor(a), oracle::Lu::factor(a));
+    prop_assert_eq!(got.is_none(), want.is_none(), "singular verdict");
+    let (Some(got), Some(want)) = (got, want) else {
+        return Ok(());
+    };
+    let (lu, perm) = got.parts();
+    prop_assert_eq!(block_bits(lu), block_bits(&want.lu), "factors");
+    prop_assert_eq!(perm, &want.perm, "permutation");
+    let (x_block, x_vec) = (want.solve_block(b), want.solve(v));
+    prop_assert_eq!(
+        got.solve(v).map(f64::to_bits),
+        x_vec.map(f64::to_bits),
+        "solve"
+    );
+    prop_assert_eq!(
+        block_bits(&got.solve_block(b)),
+        block_bits(&x_block),
+        "solve_block"
+    );
+    let (fused_block, fused_vec) = got.solve_block_vec(b, v);
+    prop_assert_eq!(
+        block_bits(&fused_block),
+        block_bits(&x_block),
+        "fused block"
+    );
+    prop_assert_eq!(
+        fused_vec.map(f64::to_bits),
+        x_vec.map(f64::to_bits),
+        "fused vector"
+    );
+    Ok(())
+}
+
 /// Fill a pencil scratch with the first `n` of the generated states,
 /// directions, time steps, and right-hand sides.
 fn filled_scratch(
@@ -612,6 +762,48 @@ proptest! {
         let reference = oracle::matvec(&a, &x).map(f64::to_bits);
         for w in WIDTHS {
             prop_assert_eq!(matvec_w(&a, &x, w).map(f64::to_bits), reference, "width {}", w);
+        }
+    }
+
+    /// The compile-time elimination and the lockstep multi-column
+    /// solves are the runtime-range, column-by-column LU bit for bit:
+    /// on diagonally dominant blocks, on row-permuted ones that force
+    /// pivot swaps, on general blocks, on blocks whose first column ties
+    /// in `|·|` (the first of the tied rows must win), on blocks carrying
+    /// signed zeros and subnormals, and on a block with a zero column,
+    /// which both must reject.
+    #[test]
+    fn lu_is_bit_exact_against_the_runtime_range_oracle(
+        dominant in dominant_diag(),
+        general in block(),
+        rows in row_permutation(),
+        specials in prop::collection::vec((0usize..NCONS * NCONS, special_entry()), 1..10),
+        zero_col in 0usize..NCONS,
+        b in block(),
+        v in vec5(),
+    ) {
+        let permuted = rows.map(|r| dominant[r]);
+        let mut special = dominant;
+        for &(k, x) in &specials {
+            special[k / NCONS][k % NCONS] = x;
+        }
+        let mut special_rhs = b;
+        for &(k, x) in &specials {
+            special_rhs[k % NCONS][k / NCONS] = x;
+        }
+        let mut tied = general;
+        for (r, row) in tied.iter_mut().enumerate() {
+            row[0] = if r % 2 == 0 { 2.0 } else { -2.0 };
+        }
+        let mut singular = general;
+        for row in &mut singular {
+            row[zero_col] = 0.0;
+        }
+        prop_assert!(Lu::factor(&singular).is_none(), "zero column {}", zero_col);
+        prop_assert!(Lu::factor(&permuted).is_some_and(|lu| *lu.parts().1 != [0, 1, 2, 3, 4]));
+        for a in [dominant, permuted, general, tied, special, singular] {
+            lu_matches_oracle(&a, &b, &v)?;
+            lu_matches_oracle(&a, &special_rhs, &special_rhs[0])?;
         }
     }
 

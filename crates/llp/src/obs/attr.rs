@@ -113,18 +113,6 @@ impl RegionAttribution {
         self.barrier_ns + self.claim_ns
     }
 
-    /// Directly measured overhead fraction `S / (W / P)`: per-worker
-    /// sync cost over per-worker work — the quantity Table 1 bounds.
-    /// Infinite when the region did no measurable compute.
-    #[must_use]
-    pub fn measured_overhead_fraction(&self) -> f64 {
-        if self.compute_ns == 0 {
-            return f64::INFINITY;
-        }
-        // sync/lanes over compute/lanes: the lane counts cancel.
-        self.sync_ns() as f64 / self.compute_ns as f64
-    }
-
     fn to_json(&self) -> Json {
         Json::object(vec![
             ("seq", Json::from_u64(self.seq)),
